@@ -66,9 +66,6 @@ final class TopKHeap(val k: Int) {
   def wouldAccept(score: Double, id: Int): Boolean =
     n < k || score > heapScores(0) || (score == heapScores(0) && id < heapIds(0))
 
-  /** A score strictly below this can never enter the heap (ignoring id ties). */
-  def threshold: Double = if (n < k) Double.NegativeInfinity else heapScores(0)
-
   /** Offer an entry; keeps the K best. */
   def offer(score: Double, id: Int): Unit = {
     if (n < k) {

@@ -1,6 +1,7 @@
 package repro.recopt
 
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndex,
+  UserIndexedMips}
 import repro.stats.TTest
 
 /** Configuration for the RECOPT online optimizer (§4).
@@ -31,6 +32,11 @@ final case class StrategyEstimate(
     estTotalNanos: Double,
 )
 
+/** One strategy's busy time on one block of sampled users. `results(i)` is
+  * block row i's top-K, or null where the t-test stopped before row i. */
+final class BlockTiming(val name: String, val nanos: Long, val users: Int,
+                        val results: Array[TopKResult])
+
 /** Everything the estimation phase produced: the estimates, the decision,
   * and — so the serve phase can reuse work — the prepared strategies and
   * whatever sample results each strategy already computed (entries may be
@@ -40,11 +46,8 @@ final class EstimateOutcome(
     val chosen: String,
     val prepared: Map[String, PreparedMips],
     val sampleResults: Map[String, Array[TopKResult]],
-    val builtUserIndexes: Map[String, repro.core.UserIndex],
-    val mmSampleNanos: Long,
-) {
-  def chosenEstimate: StrategyEstimate = estimates.find(_.name == chosen).get
-}
+    val builtUserIndexes: Map[String, UserIndex],
+)
 
 /** What RECOPT decided and what it cost to decide. */
 final case class RecOptReport(
@@ -52,10 +55,13 @@ final case class RecOptReport(
     estimates: Seq[StrategyEstimate],
     sampleSize: Int,
     totalUsers: Int,
-    /** wall-clock spent on optimization that did NOT produce reused results
-      * (losing strategies' builds + sample queries) */
+    /** optimization work that did NOT produce reused results: the losing
+      * strategies' builds and sampled busy time ([[RecOpt.wastedNanos]]). On
+      * Spark the busy time is summed over partitions timed concurrently. */
     wastedNanos: Long,
-    /** end-to-end wall-clock including optimization */
+    /** wall-clock of the call: local `serveAll` includes serving every user;
+      * Spark `topKAllWithRecOpt` covers only the decision phase, not the
+      * lazy distributed pass that serves the users */
     totalNanos: Long,
 )
 
@@ -94,95 +100,117 @@ object RecOpt {
     rng.shuffle((0 until totalUsers).toVector).take(sampleSize).sorted.toArray
   }
 
+  /** Index construction (C_I) for every candidate: `(name, prepared,
+    * buildNanos)` for MM first, whose "build" only wraps the item matrix and
+    * counts as free, then for each index solver in order, timed. */
+  def buildCandidates(items: Matrix, indexSolvers: Seq[MipsSolver])
+      : Seq[(String, PreparedMips, Long)] =
+    ("MM", new BruteForceMM().prepare(items), 0L) +: indexSolvers.map { solver =>
+      val t0 = System.nanoTime()
+      val prep = solver.prepare(items)
+      (solver.name, prep, System.nanoTime() - t0)
+    }
+
+  /** The sample-timing kernel. `candidates` starts with MM, timed on the
+    * whole block; its per-user mean is the t-test baseline. Each other
+    * candidate is timed on the same block — whole-block if batch-only
+    * (per-user t-testing would hide the cache effects it depends on, §4.1),
+    * else per user with one-sample t-test early stopping against MM's mean.
+    * Returns one timing per candidate, in order. The local estimate runs it
+    * on the driver's sample; the Spark path on each partition's share of it. */
+  def timeBlock(block: Matrix, k: Int, candidates: Seq[(String, PreparedMips)],
+                cfg: RecOptConfig): Seq[BlockTiming] = {
+    val n = block.rows
+    require(n > 0, "cannot time an empty block")
+    require(candidates.headOption.exists(_._1 == "MM"), "the first candidate must be MM")
+    def wholeBlock(name: String, prep: PreparedMips): BlockTiming = {
+      val t0 = System.nanoTime()
+      val res = prep.queryBatch(block, k)
+      new BlockTiming(name, System.nanoTime() - t0, n, res)
+    }
+    val mmTiming = wholeBlock("MM", candidates.head._2)
+    val mmPerUser = mmTiming.nanos.toDouble / n
+    mmTiming +: candidates.tail.map {
+      case (name, prep) if prep.batchOnly => wholeBlock(name, prep)
+      case (name, prep) =>
+        val res = new Array[TopKResult](n)
+        val times = new scala.collection.mutable.ArrayBuffer[Double](n)
+        var i = 0
+        var stopped = false
+        while (i < n && !stopped) {
+          val u = block.row(i)
+          val qs = System.nanoTime()
+          res(i) = prep.query(u, i, k)
+          times += (System.nanoTime() - qs).toDouble
+          i += 1
+          if (i >= cfg.minTTestUsers && i < n) {
+            val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
+            if (p < cfg.tTestAlpha) stopped = true
+          }
+        }
+        new BlockTiming(name, times.sum.toLong, times.length, res)
+    }
+  }
+
+  /** A strategy's estimated total: build + per-user busy time x population. */
+  def extrapolate(name: String, buildNanos: Long, busyNanos: Long, usersTimed: Int,
+                  totalUsers: Int): StrategyEstimate = {
+    val perUser = busyNanos.toDouble / usersTimed
+    StrategyEstimate(name, buildNanos, perUser, usersTimed, buildNanos + perUser * totalUsers)
+  }
+
+  /** Work spent deciding that the serve does not reuse: the losing
+    * strategies' builds and their sampled busy time. */
+  def wastedNanos(estimates: Seq[StrategyEstimate], chosen: String): Long =
+    estimates.filter(_.name != chosen)
+      .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
+
   /** Estimation phase: build every candidate, time it on the sample, decide.
     * `totalUsers` is the population the per-user costs extrapolate to (it
-    * may exceed `sampleUsers.rows` when called from the Spark driver).
+    * may exceed `sampleUsers.rows`).
     *
     * When `fullUsers`/`sampleIdx` are supplied (the local batch path),
     * user-indexed strategies (RECDEX) build their user index over the FULL
     * population once (counted as construction cost, as in §4.2's C_I) and
     * only the sampled walks are extrapolated; the built index is returned so
-    * serving reuses it. */
+    * serving reuses it. Every other strategy is timed by [[timeBlock]]. */
   def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
                indexSolvers: Seq[MipsSolver], totalUsers: Int,
                cfg: RecOptConfig = RecOptConfig(),
                fullUsers: Option[Matrix] = None,
                sampleIdx: Option[Array[Int]] = None): EstimateOutcome = {
-    val sampleSize = sampleUsers.rows
-    val mm = new BruteForceMM()
+    val candidates = buildCandidates(items, indexSolvers)
+    val userIndexed: Map[String, UserIndexedMips] = (fullUsers, sampleIdx) match {
+      case (Some(_), Some(_)) =>
+        candidates.collect { case (name, ui: UserIndexedMips, _) => name -> ui }.toMap
+      case _ => Map.empty
+    }
+    val blockTimed = timeBlock(sampleUsers, k,
+      candidates.collect { case (name, prep, _) if !userIndexed.contains(name) => name -> prep },
+      cfg).map(t => t.name -> t).toMap
 
-    // --- time blocked MM on the sample ---
-    val mmPrepared = mm.prepare(items)
-    val mmStart = System.nanoTime()
-    val mmSampleResults = mmPrepared.queryBatch(sampleUsers, k)
-    val mmNanos = System.nanoTime() - mmStart
-    val mmPerUser = mmNanos.toDouble / sampleSize
-    val mmEstimate = StrategyEstimate("MM", 0L, mmPerUser, sampleSize,
-      mmPerUser * totalUsers)
-
-    var prepared = Map("MM" -> (mmPrepared: PreparedMips))
-    var sampleRes = Map("MM" -> mmSampleResults)
-    var builtIdx = Map.empty[String, repro.core.UserIndex]
-
-    val indexEstimates = indexSolvers.map { solver =>
-      val buildStart = System.nanoTime()
-      val prep = solver.prepare(items)
-      val buildNanos = System.nanoTime() - buildStart
-      prepared += solver.name -> prep
-
-      (prep, fullUsers, sampleIdx) match {
-        case (ui: repro.core.UserIndexedMips, Some(all), Some(sIdx)) =>
+    var builtIdx = Map.empty[String, UserIndex]
+    val timed = candidates.map { case (name, _, buildNanos) =>
+      userIndexed.get(name) match {
+        case Some(ui) =>
           // user-indexed strategy: build ONCE over the full population
           // (construction cost C_I), extrapolate only the sampled walk
           val uStart = System.nanoTime()
-          val userIndex = ui.buildUserIndex(all)
+          val userIndex = ui.buildUserIndex(fullUsers.get)
           val userBuildNanos = System.nanoTime() - uStart
-          builtIdx += solver.name -> userIndex
+          builtIdx += name -> userIndex
           val qStart = System.nanoTime()
-          val res = userIndex.querySubset(sIdx, k)
-          val qNanos = System.nanoTime() - qStart
-          sampleRes += solver.name -> res
-          val perUser = qNanos.toDouble / sIdx.length
-          StrategyEstimate(solver.name, buildNanos + userBuildNanos, perUser,
-            sIdx.length, buildNanos + userBuildNanos + perUser * totalUsers)
-
-        case _ if prep.batchOnly =>
-          // batch the whole sample — per-user t-testing would hide the cache
-          // effects batch strategies depend on (§4.1)
-          val qStart = System.nanoTime()
-          val res = prep.queryBatch(sampleUsers, k)
-          val qNanos = System.nanoTime() - qStart
-          sampleRes += solver.name -> res
-          val perUser = qNanos.toDouble / sampleSize
-          StrategyEstimate(solver.name, buildNanos, perUser, sampleSize,
-            buildNanos + perUser * totalUsers)
-
-        case _ =>
-          // per-user timing with one-sample t-test against the MM mean
-          val res = new Array[TopKResult](sampleSize)
-          val times = new scala.collection.mutable.ArrayBuffer[Double](sampleSize)
-          var i = 0
-          var stopped = false
-          while (i < sampleSize && !stopped) {
-            val u = sampleUsers.row(i)
-            val qs = System.nanoTime()
-            res(i) = prep.query(u, i, k)
-            times += (System.nanoTime() - qs).toDouble
-            i += 1
-            if (i >= cfg.minTTestUsers && i < sampleSize) {
-              val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
-              if (p < cfg.tTestAlpha) stopped = true
-            }
-          }
-          sampleRes += solver.name -> res
-          val perUser = times.sum / times.length
-          StrategyEstimate(solver.name, buildNanos, perUser, times.length,
-            buildNanos + perUser * totalUsers)
+          val res = userIndex.querySubset(sampleIdx.get, k)
+          (new BlockTiming(name, System.nanoTime() - qStart, res.length, res),
+            buildNanos + userBuildNanos)
+        case None => (blockTimed(name), buildNanos)
       }
     }
 
-    val all = mmEstimate +: indexEstimates
-    new EstimateOutcome(all, decide(all).name, prepared, sampleRes, builtIdx, mmNanos)
+    val all = timed.map { case (t, b) => extrapolate(t.name, b, t.nanos, t.users, totalUsers) }
+    new EstimateOutcome(all, decide(all).name,
+      candidates.map { case (name, prep, _) => name -> prep }.toMap,
+      timed.map { case (t, _) => t.name -> t.results }.toMap, builtIdx)
   }
 
   /** Serve exact top-K for every user, choosing between blocked MM and the
@@ -218,11 +246,7 @@ object RecOpt {
     }
 
     val totalNanos = System.nanoTime() - t0
-    val wasted =
-      (if (est.chosen == "MM") 0L else est.mmSampleNanos) +
-        est.estimates.filter(e => e.name != "MM" && e.name != est.chosen)
-          .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
-
-    (out, RecOptReport(est.chosen, est.estimates, sampleIdx.length, n, wasted, totalNanos))
+    (out, RecOptReport(est.chosen, est.estimates, sampleIdx.length, n,
+      wastedNanos(est.estimates, est.chosen), totalNanos))
   }
 }

@@ -2,7 +2,7 @@ package repro.sparkmips
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
-import repro.core.{Matrix, MipsSolver, TopKResult}
+import repro.core.{Matrix, MipsSolver, PreparedMips}
 import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
 
 /** Batch MIPS serving on Spark — the paper's kernels as a per-partition
@@ -18,9 +18,10 @@ import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
   * kernels intact inside each partition while Spark supplies inter-block
   * parallelism — exactly the batch-serving setting of §2.2.
   *
-  * RECOPT runs on the driver: it samples users (DataFrame sample → collect),
-  * times the candidate strategies locally, and only then launches the
-  * distributed pass with the winning strategy.
+  * RECOPT decides where the users live: the driver builds every candidate
+  * once and broadcasts them, one Spark job times them on each partition's
+  * share of a user sample, the driver extrapolates and decides, and the
+  * distributed pass serves with the winner's already-built index.
   */
 object SparkMips {
 
@@ -58,24 +59,109 @@ object SparkMips {
     *
     * Output: one row per (user, rank), rank 1-based, ordered within a user
     * by (score desc, item_id asc) — the repo-wide deterministic tie-break.
+    *
+    * k < 1 fails on the driver. The users are not counted, since that is one
+    * more Spark job per call (about 0.1 s for 8,000 users on 4 cores, over a
+    * quarter of an MM serve there), so an empty users DataFrame yields no rows.
     */
   def topKAll(spark: SparkSession, users: DataFrame, items: DataFrame, k: Int,
               solver: MipsSolver,
               userIdCol: String = "user_id", itemIdCol: String = "item_id"): DataFrame = {
+    requireK(k)
     val (itemIds, itemMatrix) = collectMatrix(items, itemIdCol)
     // prepare once on the driver; the prepared index is broadcast so every
     // partition pays query cost only (index build cost C_I is paid once)
-    val prepared = solver.prepare(itemMatrix)
+    serve(spark, users, userIdCol, itemIds, solver.prepare(itemMatrix), k)
+  }
+
+  /** Distributed serving with RECOPT choosing the strategy.
+    *
+    * Decision phase, eager: collect the items once; build MM and every
+    * candidate once on the driver (C_I); broadcast them and run one job over
+    * `cfg.sampleFraction` of the users (at least the 4x-L2 floor, seeded by
+    * `cfg.seed`) in which every partition times every candidate on its share
+    * of the sample ([[RecOpt.timeBlock]]); extrapolate and decide on the
+    * driver. Serve phase, lazy: the returned DataFrame runs the winner's
+    * already-built index through the same per-partition operator as
+    * [[topKAll]]. The sample's results are not reused: the serve recomputes
+    * the sampled users. The report's `totalNanos` covers the decision phase.
+    *
+    * Fails on the driver if k < 1, the users DataFrame is empty, or it holds
+    * more than `Int.MaxValue` users.
+    */
+  def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
+                        k: Int, indexSolvers: Seq[MipsSolver],
+                        cfg: RecOptConfig = RecOptConfig(),
+                        userIdCol: String = "user_id", itemIdCol: String = "item_id")
+      : (DataFrame, RecOptReport) = {
+    val t0 = System.nanoTime()
+    requireK(k)
+    val totalUsers = countUsers(users)
+    val (itemIds, itemMatrix) = collectMatrix(items, itemIdCol)
+    val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
+    val prepared = candidates.map { case (name, prep, _) => name -> prep }
+
+    // --- every partition times every candidate on its share of the sample ---
+    val floor = RecOpt.minSampleForCache(itemMatrix.cols, cfg.l2CacheBytes)
+    val fraction = math.min(1.0,
+      math.max(cfg.sampleFraction, floor.toDouble / totalUsers))
+    val bCandidates = spark.sparkContext.broadcast(prepared)
+    val sampled = users.select("features").sample(withReplacement = false, fraction, cfg.seed)
+      .rdd.mapPartitions { it =>
+        val rows = it.toArray
+        if (rows.isEmpty) Iterator.empty
+        else RecOpt.timeBlock(decode(rows, 0), k, bCandidates.value, cfg).iterator
+          .map(t => (t.name, t.nanos, t.users))
+      }.collect()
+    bCandidates.destroy()
+    // an empty sample (possible when the expected size is a few users) is
+    // replaced by the first user, timed on the driver
+    val timings =
+      if (sampled.nonEmpty) sampled.toSeq
+      else RecOpt.timeBlock(decode(Array(users.select("features").head()), 0), k, prepared, cfg)
+        .map(t => (t.name, t.nanos, t.users))
+    val busy = timings.groupMapReduce(_._1)(t => (t._2, t._3)) {
+      case ((n1, u1), (n2, u2)) => (n1 + n2, u1 + u2)
+    }
+    val estimates = candidates.map { case (name, _, buildNanos) =>
+      val (nanos, timed) = busy(name)
+      RecOpt.extrapolate(name, buildNanos, nanos, timed, totalUsers)
+    }
+    val chosen = RecOpt.decide(estimates).name
+    val report = RecOptReport(chosen, estimates, busy("MM")._2, totalUsers,
+      RecOpt.wastedNanos(estimates, chosen), totalNanos = System.nanoTime() - t0)
+
+    // --- serve with the winner's already-built index ---
+    (serve(spark, users, userIdCol, itemIds, prepared.find(_._1 == chosen).get._2, k), report)
+  }
+
+  private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
+
+  /** The population RECOPT extrapolates to, checked on the driver. */
+  private def countUsers(users: DataFrame): Int = {
+    val n = users.count()
+    require(n > 0, "users DataFrame is empty: nothing to serve")
+    require(n <= Int.MaxValue, s"$n users exceed ${Int.MaxValue}, the most one call can serve")
+    n.toInt
+  }
+
+  /** Decode one partition's rows into a user block; `col` holds the features. */
+  private def decode(rows: Array[Row], col: Int): Matrix =
+    Matrix.fromRows(rows.map(_.getSeq[Double](col).toArray).toIndexedSeq)
+
+  /** The per-partition operator of every serve: broadcast the prepared
+    * strategy, then each partition decodes its users into one block, runs
+    * `queryBatch`, and encodes (user_id, item_id, rank, score) rows. */
+  private def serve(spark: SparkSession, users: DataFrame, userIdCol: String,
+                    itemIds: Array[Long], prepared: PreparedMips, k: Int): DataFrame = {
     val bPrepared = spark.sparkContext.broadcast(prepared)
     val bItemIds = spark.sparkContext.broadcast(itemIds)
-
     val out = users.select(userIdCol, "features").rdd.mapPartitions { it =>
       val batch = it.toArray
       if (batch.isEmpty) Iterator.empty
       else {
         val ids = batch.map(_.getLong(0))
-        val block = Matrix.fromRows(batch.map(_.getSeq[Double](1).toArray).toIndexedSeq)
-        val results = bPrepared.value.queryBatch(block, k)
+        val results = bPrepared.value.queryBatch(decode(batch, 1), k)
         val iIds = bItemIds.value
         results.iterator.zipWithIndex.flatMap { case (res, r) =>
           res.ids.iterator.zipWithIndex.map { case (item, rank) =>
@@ -85,57 +171,5 @@ object SparkMips {
       }
     }
     spark.createDataFrame(out, OutputSchema)
-  }
-
-  /** Distributed serving with RECOPT choosing the strategy on the driver.
-    *
-    * The driver samples `cfg.sampleFraction` of the users (at least the
-    * 4x-L2 floor), collects them, runs the local estimation phase (index
-    * builds + timed sample queries), then launches the distributed pass
-    * with the winning strategy. Returns the result DataFrame and the
-    * optimizer report.
-    */
-  def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
-                        k: Int, indexSolvers: Seq[MipsSolver],
-                        cfg: RecOptConfig = RecOptConfig(),
-                        userIdCol: String = "user_id", itemIdCol: String = "item_id")
-      : (DataFrame, RecOptReport) = {
-    val (_, itemMatrix) = collectMatrix(items, itemIdCol)
-    val totalUsers = users.count().toInt
-
-    // --- driver-side sample + estimation ---
-    val floor = RecOpt.minSampleForCache(itemMatrix.cols, cfg.l2CacheBytes)
-    val fraction = math.min(1.0,
-      math.max(cfg.sampleFraction, floor.toDouble / math.max(1, totalUsers)))
-    val sampleRows = users.select("features").sample(withReplacement = false, fraction, cfg.seed)
-      .collect()
-    val sampleUsers =
-      if (sampleRows.isEmpty) Matrix.fromRows(Seq(users.select("features").head().getSeq[Double](0).toArray))
-      else Matrix.fromRows(sampleRows.map(_.getSeq[Double](0).toArray).toIndexedSeq)
-    val t0 = System.nanoTime()
-    val est = RecOpt.estimate(sampleUsers, itemMatrix, k, indexSolvers, totalUsers, cfg)
-    val estNanos = System.nanoTime() - t0
-
-    // --- distributed pass with the winner ---
-    val winnerSolver: MipsSolver =
-      if (est.chosen == "MM") new repro.core.BruteForceMM()
-      else indexSolvers.find(_.name == est.chosen).get
-    val df = topKAll(spark, users, items, k, winnerSolver, userIdCol, itemIdCol)
-
-    val report = RecOptReport(est.chosen, est.estimates, sampleUsers.rows, totalUsers,
-      wastedNanos = estNanos, totalNanos = estNanos)
-    (df, report)
-  }
-
-  /** Convenience for tests: local solver results as a DataFrame with the
-    * same schema/ordering as [[topKAll]]. */
-  def resultsToDf(spark: SparkSession, results: Array[TopKResult],
-                  userIds: Array[Long], itemIds: Array[Long]): DataFrame = {
-    val rows = results.iterator.zipWithIndex.flatMap { case (res, r) =>
-      res.ids.iterator.zipWithIndex.map { case (item, rank) =>
-        Row(userIds(r), itemIds(item), rank + 1, res.scores(rank))
-      }
-    }.toSeq
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), OutputSchema)
   }
 }

@@ -1,9 +1,10 @@
 package repro.sparkmips
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{array, col, lit}
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.core.{BruteForceMM, Matrix}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -117,12 +118,105 @@ class SparkMipsSpec extends SparkSpec {
     assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
     val got = df.collect().groupBy(_.getLong(0))
     val expect = SolverTestSupport.bruteForce(u, i, 3)
+    assert(got.size == 250)
     (0 until 250).foreach { uid =>
       val rows = got(uid.toLong).sortBy(_.getInt(2))
+      assert(rows.map(_.getInt(2)).toSeq == Seq(1, 2, 3), s"user $uid ranks")
       rows.zipWithIndex.foreach { case (r, rank) =>
+        assert(r.getLong(1) == expect(uid).ids(rank), s"user $uid rank $rank id")
         assert(math.abs(r.getDouble(3) - expect(uid).scores(rank)) < 1e-9,
           s"user $uid rank $rank")
       }
     }
+  }
+
+  /** Counts `prepare` calls, which run on the driver only. */
+  private final class CountingSolver(inner: MipsSolver) extends MipsSolver {
+    var prepares = 0
+    override def name: String = inner.name
+    override def prepare(items: Matrix): PreparedMips = { prepares += 1; inner.prepare(items) }
+  }
+
+  test("topKAllWithRecOpt prepares each candidate once and serves with it") {
+    // one dominant item aligned with every user: LEMP's first bucket holds
+    // the answer and its bound prunes the rest, while MM scores all 3000
+    // items, so an index wins and the test sees the winner's prepare count
+    val f = 16
+    val dir = Array.tabulate(f)(d => if (d % 2 == 0) 1.0 else 0.5)
+    val noise = Matrix.randn(600, f, seed = 5)
+    val u = Matrix.tabulate(600, f)((r, d) => 3 * dir(d) + 0.3 * noise(r, d))
+    val small = Matrix.randn(3000, f, seed = 6)
+    val i = Matrix.tabulate(3000, f)((r, d) => if (r == 0) 100 * dir(d) else 0.2 * small(r, d))
+    val lemp = new CountingSolver(new LempIndex(bucketSize = 16))
+    val recdex = new CountingSolver(new Recdex(3, 8))
+    val (df, report) = SparkMips.topKAllWithRecOpt(spark,
+      SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 1,
+      Seq(lemp, recdex), RecOptConfig(sampleFraction = 1.0))
+    val rows = df.collect()
+    assert(report.chosen != "MM", s"estimates ${report.estimates}")
+    assert(lemp.prepares == 1 && recdex.prepares == 1,
+      s"prepares: LEMP ${lemp.prepares}, RECDEX ${recdex.prepares}")
+    assert(rows.length == 600 && rows.forall(_.getLong(1) == 0L))
+  }
+
+  test("report: sample covers every user at fraction 1, waste is the losers' share") {
+    val (u, i) = ModelZoo.tiny(200, 60, 8, seed = 113)
+    val (_, report) = SparkMips.topKAllWithRecOpt(spark,
+      SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 2,
+      Seq(new LempIndex(bucketSize = 16)), RecOptConfig(sampleFraction = 1.0))
+    assert(report.sampleSize == 200 && report.totalUsers == 200)
+    assert(report.estimates.map(_.name) == Seq("MM", "LEMP"))
+    val loser = report.estimates.find(_.name != report.chosen).get
+    assert(report.wastedNanos ==
+      loser.buildNanos + (loser.perUserNanos * loser.usersTimed).toLong)
+    assert(report.totalNanos > 0)
+  }
+
+  test("topKAllWithRecOpt times one user on the driver when the sample is empty") {
+    val (u, i) = ModelZoo.tiny(20, 30, 4, seed = 127)
+    val usersDf = SparkMips.toDf(spark, u, "user_id", 2)
+    // floor = 1 user at l2CacheBytes = 1, so the sample fraction is 1/20
+    val seed = (1L to 100L).find(s =>
+      usersDf.select("features").sample(withReplacement = false, 1.0 / 20, s).isEmpty).get
+    val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
+      SparkMips.toDf(spark, i, "item_id", 1), 2, Seq(new LempIndex(bucketSize = 8)),
+      RecOptConfig(sampleFraction = 0.0, l2CacheBytes = 1, seed = seed))
+    assert(report.sampleSize == 1)
+    assert(report.estimates.forall(_.usersTimed == 1))
+    val expect = SolverTestSupport.bruteForce(u, i, 2)
+    val rows = df.collect()
+    assert(rows.length == 40)
+    rows.foreach { r =>
+      assert(r.getLong(1) == expect(r.getLong(0).toInt).ids(r.getInt(2) - 1))
+    }
+  }
+
+  private def itemsDf: DataFrame = SparkMips.toDf(spark, Matrix.randn(10, 3, seed = 2), "item_id", 1)
+
+  test("both entrypoints reject k < 1 on the driver") {
+    val users = SparkMips.toDf(spark, Matrix.randn(5, 3, seed = 1), "user_id", 2)
+    val e1 = intercept[IllegalArgumentException](
+      SparkMips.topKAll(spark, users, itemsDf, 0, new BruteForceMM()))
+    val e2 = intercept[IllegalArgumentException](
+      SparkMips.topKAllWithRecOpt(spark, users, itemsDf, 0, Seq(new LempIndex())))
+    assert(e1.getMessage.contains("k must be >= 1, got 0"))
+    assert(e2.getMessage == e1.getMessage)
+  }
+
+  test("topKAllWithRecOpt rejects an empty users DataFrame on the driver") {
+    val users = SparkMips.toDf(spark, Matrix.randn(5, 3, seed = 1), "user_id", 2).limit(0)
+    val e = intercept[IllegalArgumentException](
+      SparkMips.topKAllWithRecOpt(spark, users, itemsDf, 2, Seq(new LempIndex())))
+    assert(e.getMessage.contains("users DataFrame is empty"))
+    // topKAll does not count its users: no users, no rows
+    assert(SparkMips.topKAll(spark, users, itemsDf, 2, new BruteForceMM()).count() == 0)
+  }
+
+  test("topKAllWithRecOpt rejects more than Int.MaxValue users on the driver") {
+    val users = spark.range(Int.MaxValue.toLong + 1)
+      .select(col("id").as("user_id"), array(lit(1.0), lit(2.0), lit(3.0)).as("features"))
+    val e = intercept[IllegalArgumentException](
+      SparkMips.topKAllWithRecOpt(spark, users, itemsDf, 2, Seq(new LempIndex())))
+    assert(e.getMessage.contains("2147483648 users exceed 2147483647"))
   }
 }
