@@ -10,8 +10,8 @@ import repro.sparkmips.SparkMips
   * Usage: RunTopK [strategy] [nUsers] [nItems] [f] [k]
   *   strategy ∈ MM | LEMP | FEXIPRO-SI | FEXIPRO-SIR | RECDEX | RECOPT
   *
-  * RECOPT runs the sampling optimizer on the driver (choosing between MM,
-  * LEMP and RECDEX) and then serves with the winner.
+  * RECOPT times MM, LEMP and RECDEX on a user sample on the executors,
+  * decides on the driver, and serves with the winner.
   */
 object RunTopK {
   def main(args: Array[String]): Unit = {

@@ -11,10 +11,8 @@ import repro.core.Matrix
   */
 object KMeans {
 
-  /** `centroids`: k x f; `assignments(i)`: cluster of row i; `iterations`:
-    * Lloyd iterations actually run (<= maxIter). */
-  final case class KMeansResult(centroids: Matrix, assignments: Array[Int], iterations: Int)
-      extends Serializable
+  /** `centroids`: k x f; `assignments(i)`: cluster of row i. */
+  final case class KMeansResult(centroids: Matrix, assignments: Array[Int]) extends Serializable
 
   /** Squared Euclidean distance between row `r` of `m` and vector `c`. */
   @inline private def sqDist(m: Matrix, r: Int, c: Array[Double]): Double = {
@@ -24,9 +22,26 @@ object KMeans {
     s
   }
 
+  /** Assign every row of `points` to its nearest centroid (ties: lowest index). */
+  private def assignAll(points: Matrix, centroids: Array[Array[Double]],
+                        assign: Array[Int]): Unit = {
+    var i = 0
+    while (i < points.rows) {
+      var best = 0
+      var bestD = sqDist(points, i, centroids(0))
+      var j = 1
+      while (j < centroids.length) {
+        val d = sqDist(points, i, centroids(j))
+        if (d < bestD) { bestD = d; best = j }
+        j += 1
+      }
+      assign(i) = best
+      i += 1
+    }
+  }
+
   /** Cluster the rows of `points` into `k` clusters. */
-  def fit(points: Matrix, k: Int, seed: Long = 42, maxIter: Int = 25,
-          tol: Double = 1e-6): KMeansResult = {
+  def fit(points: Matrix, k: Int, seed: Long = 42, maxIter: Int = 25): KMeansResult = {
     require(k >= 1, s"k must be >= 1, got $k")
     val n = points.rows
     val f = points.cols
@@ -57,29 +72,16 @@ object KMeans {
       c += 1
     }
 
-    // --- Lloyd iterations ---
+    // --- Lloyd iterations, until no centroid moves more than 1e-6 (squared) ---
     val assign = new Array[Int](n)
     var iter = 0
     var moved = Double.MaxValue
-    while (iter < maxIter && moved > tol) {
-      // assignment step
-      var i = 0
-      while (i < n) {
-        var best = 0
-        var bestD = sqDist(points, i, centroids(0))
-        var j = 1
-        while (j < kk) {
-          val d = sqDist(points, i, centroids(j))
-          if (d < bestD) { bestD = d; best = j }
-          j += 1
-        }
-        assign(i) = best
-        i += 1
-      }
+    while (iter < maxIter && moved > 1e-6) {
+      assignAll(points, centroids, assign)
       // update step
       val sums = Array.fill(kk)(new Array[Double](f))
       val counts = new Array[Int](kk)
-      i = 0
+      var i = 0
       while (i < n) {
         val a = assign(i); counts(a) += 1
         val s = sums(a); val off = i * f
@@ -113,20 +115,7 @@ object KMeans {
     }
 
     // final assignment against the last centroids
-    var i = 0
-    while (i < n) {
-      var best = 0
-      var bestD = sqDist(points, i, centroids(0))
-      var j = 1
-      while (j < kk) {
-        val d = sqDist(points, i, centroids(j))
-        if (d < bestD) { bestD = d; best = j }
-        j += 1
-      }
-      assign(i) = best
-      i += 1
-    }
-
-    KMeansResult(Matrix.fromRows(centroids.toIndexedSeq), assign, iter)
+    assignAll(points, centroids, assign)
+    KMeansResult(Matrix.fromRows(centroids.toIndexedSeq), assign)
   }
 }

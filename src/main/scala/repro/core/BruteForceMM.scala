@@ -16,8 +16,6 @@ final class BruteForceMM(val userBlock: Int = 512) extends MipsSolver {
 }
 
 final class BruteForcePrepared(items: Matrix, userBlock: Int) extends PreparedMips {
-  override def batchOnly: Boolean = true
-
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
     // Single user degenerates to a matrix-vector product — exactly the slow
     // path the paper warns about; provided for completeness/correctness.

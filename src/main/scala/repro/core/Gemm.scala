@@ -143,12 +143,6 @@ object Gemm {
     c
   }
 
-  /** y = A * x (matrix-vector), used by k-means and the SVD transform. */
-  def av(a: Matrix, x: Array[Double]): Array[Double] = {
-    require(a.cols == x.length, s"dim mismatch: ${a.cols} vs ${x.length}")
-    Array.tabulate(a.rows)(a.rowDot(_, x))
-  }
-
   /** C = A * B (plain orientation), used for small f x f transforms. */
   def ab(a: Matrix, b: Matrix): Matrix = {
     require(a.cols == b.rows, s"inner dims differ: ${a.cols} vs ${b.rows}")

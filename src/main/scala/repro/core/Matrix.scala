@@ -16,9 +16,6 @@ final class Matrix(val rows: Int, val cols: Int, val data: Array[Double]) extend
   @inline def apply(r: Int, c: Int): Double = data(r * cols + c)
   @inline def set(r: Int, c: Int, v: Double): Unit = data(r * cols + c) = v
 
-  /** Offset of row `r` in the backing array (for tight inner loops). */
-  @inline def rowOffset(r: Int): Int = r * cols
-
   /** Copy of row `r` as a standalone vector. */
   def row(r: Int): Array[Double] = java.util.Arrays.copyOfRange(data, r * cols, (r + 1) * cols)
 
@@ -28,14 +25,6 @@ final class Matrix(val rows: Int, val cols: Int, val data: Array[Double]) extend
     var c = 0
     while (c < cols) { val v = data(off + c); s += v * v; c += 1 }
     math.sqrt(s)
-  }
-
-  /** L1 norm of row `r`. */
-  def rowNorm1(r: Int): Double = {
-    var s = 0.0; val off = r * cols
-    var c = 0
-    while (c < cols) { s += math.abs(data(off + c)); c += 1 }
-    s
   }
 
   /** All row L2 norms. */

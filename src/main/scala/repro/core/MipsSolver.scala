@@ -40,10 +40,10 @@ trait MipsSolver extends Serializable {
 }
 
 /** A strategy whose index is built over the *query users* as well as the
-  * items (RECDEX: k-means over users + per-cluster sorted lists). RECOPT
-  * builds the user index once over the full population (construction cost),
-  * then times only the walk on a sample — matching the paper's C_I/Q_I
-  * accounting. */
+  * items (RECDEX: k-means over users + per-cluster sorted lists). The local
+  * `RecOpt.serveAll` builds the user index once over the full population
+  * (construction cost), then times only the walk on a sample — matching the
+  * paper's C_I/Q_I accounting. */
 trait UserIndexedMips { this: PreparedMips =>
   def buildUserIndex(users: Matrix): UserIndex
 }
@@ -53,7 +53,4 @@ trait UserIndex extends Serializable {
   /** Exact top-K for a subset of the indexed users; result i corresponds to
     * `rows(i)` (row indices into the matrix the index was built over). */
   def querySubset(rows: Array[Int], k: Int): Array[TopKResult]
-
-  /** Exact top-K for every indexed user, row-aligned with the build matrix. */
-  def queryAll(k: Int): Array[TopKResult]
 }

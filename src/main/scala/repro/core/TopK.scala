@@ -16,8 +16,7 @@ final case class TopKResult(ids: Array[Int], scores: Array[Double]) {
   *
   * An entry `(s, i)` beats the heap minimum `(ms, mi)` iff `s > ms`, or
   * `s == ms && i < mi` — the same total order used by [[TopKResult]], so
-  * boundary ties resolve identically everywhere. `wouldAccept` exposes the
-  * current admission threshold for the pruning loops in the indexes.
+  * boundary ties resolve identically everywhere.
   */
 final class TopKHeap(val k: Int) {
   require(k >= 1, s"k must be >= 1, got $k")
@@ -62,10 +61,6 @@ final class TopKHeap(val k: Int) {
   /** Lowest score currently retained (only meaningful when full). */
   def minScore: Double = if (n == 0) Double.NegativeInfinity else heapScores(0)
 
-  /** Would `(score, id)` enter the heap right now? */
-  def wouldAccept(score: Double, id: Int): Boolean =
-    n < k || score > heapScores(0) || (score == heapScores(0) && id < heapIds(0))
-
   /** Offer an entry; keeps the K best. */
   def offer(score: Double, id: Int): Unit = {
     if (n < k) {
@@ -95,20 +90,13 @@ final class TopKHeap(val k: Int) {
 }
 
 object TopK {
-  /** Exact top-K over a dense score row (used after a GEMM block). */
-  def ofRow(scores: Array[Double], k: Int): TopKResult = {
-    val h = new TopKHeap(k)
-    var i = 0
-    while (i < scores.length) { h.offer(scores(i), i); i += 1 }
-    h.result()
-  }
-
-  /** Exact top-K over one row of a score matrix, with item ids offset. */
-  def ofMatrixRow(m: Matrix, row: Int, k: Int, idOffset: Int = 0): TopKResult = {
+  /** Exact top-K over one row of a score matrix (used after a GEMM block);
+    * item ids are column indices. */
+  def ofMatrixRow(m: Matrix, row: Int, k: Int): TopKResult = {
     val h = new TopKHeap(k)
     val off = row * m.cols
     var j = 0
-    while (j < m.cols) { h.offer(m.data(off + j), idOffset + j); j += 1 }
+    while (j < m.cols) { h.offer(m.data(off + j), j); j += 1 }
     h.result()
   }
 }

@@ -30,8 +30,7 @@ import repro.linalg.Svd
   * WITHOUT user batching — FEXIPRO is optimized for the point setting, which
   * is exactly why the paper finds it slower in batch workloads.
   */
-final class Fexipro(val useReduction: Boolean, val prefixDims: Int = 0,
-                    val intBits: Int = 15) extends MipsSolver {
+final class Fexipro(val useReduction: Boolean) extends MipsSolver {
   override def name: String = if (useReduction) "FEXIPRO-SIR" else "FEXIPRO-SI"
 
   override def prepare(items: Matrix): PreparedMips = {
@@ -79,12 +78,13 @@ final class Fexipro(val useReduction: Boolean, val prefixDims: Int = 0,
     val sorted = txItems.selectRows(order)
     val sortedNorms = order.map(norms)
 
-    val h = if (prefixDims > 0) math.min(prefixDims, f) else math.max(1, f / 4)
+    // the bounded prefix: the first quarter of the (rotated) dimensions
+    val h = math.max(1, f / 4)
 
     // suffix norms past the prefix: ||i[h..f)||
     val suffixNorm = new Array[Double](n)
     // integer-quantized prefix copies with per-vector scale
-    val intMax = (1 << intBits) - 1
+    val intMax = (1 << 15) - 1 // 15-bit quantization
     val qPrefix = new Array[Array[Int]](n)
     val qScale = new Array[Double](n)
     val l1Prefix = new Array[Double](n)

@@ -7,6 +7,7 @@ import repro.mf.ModelZoo
 import repro.mf.ModelZoo.RefModel
 import repro.recdex.Recdex
 import repro.recopt.{RecOpt, RecOptConfig}
+import repro.stats.TTest
 
 /** The paper's §6 evaluation sweep, run once per JVM and shared by every
   * bench suite (Table 2, the Fig. 6 aggregates, EXPERIMENTS.md numbers).
@@ -77,14 +78,8 @@ object Sweep {
   }
 
   /** Full end-to-end run of one strategy: build + batch retrieval for all users. */
-  def runFull(strategy: String, users: Matrix, items: Matrix, k: Int): Double = {
-    val solver = solverByName(strategy)
-    val (_, secs) = time {
-      val prepared = solver.prepare(items)
-      prepared.queryBatch(users, k)
-    }
-    secs
-  }
+  def runFull(strategy: String, users: Matrix, items: Matrix, k: Int): Double =
+    time(solverByName(strategy).prepare(items).queryBatch(users, k))._2
 
   def runCombo(model: RefModel, k: Int, cfg: RecOptConfig): Combo = {
     val fulls = AllStrategies.map(s => s -> runFull(s, model.users, model.items, k)).toMap
@@ -150,17 +145,13 @@ object Sweep {
   )
 
   private def mean(xs: Seq[Double]): Double = xs.sum / xs.size
-  private def stdDev(xs: Seq[Double]): Double = {
-    val m = mean(xs)
-    math.sqrt(xs.map(x => (x - m) * (x - m)).sum / math.max(1, xs.size - 1))
-  }
 
   def table2(combos: Seq[Combo]): Seq[Table2Row] =
     Pairings.map { case (pname, indexNames) =>
       val rows = combos.map(c => (c, c.pairings.find(_.pairing == pname).get))
       val lempSecs = rows.map(_._1.fullSeconds("LEMP"))
       val acc = 100.0 * rows.count(_._2.accurate) / rows.size
-      val ov = rows.map(_._2.overheadFrac * 100.0)
+      val ov = TTest.summarize(rows.map(_._2.overheadFrac * 100.0).toIndexedSeq)
       val indexOnly = indexNames match {
         case Seq(single) =>
           Some(mean(rows.map { case (c, _) => c.fullSeconds("LEMP") / c.fullSeconds(single) }))
@@ -168,7 +159,7 @@ object Sweep {
       }
       val recoptSp = mean(rows.zip(lempSecs).map { case ((_, p), l) => l / p.recoptSeconds })
       val oracleSp = mean(rows.zip(lempSecs).map { case ((_, p), l) => l / p.oracleSeconds })
-      Table2Row(pname, acc, mean(ov), stdDev(ov), indexOnly, recoptSp, oracleSp)
+      Table2Row(pname, acc, ov.mean, ov.stdDev, indexOnly, recoptSp, oracleSp)
     }
 
   // ---- Fig. 6 text aggregates ----

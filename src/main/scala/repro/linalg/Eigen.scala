@@ -14,7 +14,7 @@ object Eigen {
   final case class EigenResult(values: Array[Double], vectors: Matrix)
 
   /** Decompose a symmetric matrix `a` (not modified). */
-  def symmetric(a: Matrix, maxSweeps: Int = 64, tol: Double = 1e-12): EigenResult = {
+  def symmetric(a: Matrix): EigenResult = {
     require(a.rows == a.cols, s"not square: ${a.rows} x ${a.cols}")
     val n = a.rows
     val m = a.copy()
@@ -39,8 +39,10 @@ object Eigen {
       math.max(s, 1e-300)
     }
 
+    // sweep until the off-diagonal norm is below 1e-12 x max |entry| x n,
+    // giving up after 64 sweeps
     var sweep = 0
-    while (sweep < maxSweeps && offDiagNorm() > tol * scale * n) {
+    while (sweep < 64 && offDiagNorm() > 1e-12 * scale * n) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1

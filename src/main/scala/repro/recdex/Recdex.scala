@@ -30,9 +30,10 @@ import repro.core._
   *
   * RECDEX is a batch-only strategy (`batchOnly = true`): its index is built
   * over the query users, so per-user t-test sampling would mis-measure it
-  * (§4.1). RECOPT instead builds the user index once over the full
-  * population (construction cost C_I) and times the walk on a sample via
-  * [[UserIndexedMips]].
+  * (§4.1). Only the local `RecOpt.serveAll` builds the user index over the
+  * full population (construction cost C_I, via [[UserIndexedMips]]) and
+  * times the walk on a sample; Spark RECOPT times `queryBatch` on each
+  * partition's share of the sample, which clusters that share itself.
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
                    val kmeansSeed: Long = 42, val kmeansMaxIter: Int = 20)
@@ -58,21 +59,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
-    buildUserIndex(users).queryAll(k)
-
-  /** Lesion hooks (Fig. 8): run with/without the §5.4 blocked work sharing. */
-  def queryBatchImpl(users: Matrix, k: Int, shareBlocked: Boolean): Array[TopKResult] =
-    buildUserIndexImpl(users).queryImpl(null, k, shareBlocked, null)
-
-  /** Instrumented variant for the Fig. 8 lesion study: also returns the
-    * average number of index entries visited per user (w-bar in Eq. 4),
-    * counting both the blocked head and the walked tail. */
-  def queryBatchCounting(users: Matrix, k: Int,
-                         shareBlocked: Boolean): (Array[TopKResult], Double) = {
-    val visited = new Array[Long](users.rows)
-    val res = buildUserIndexImpl(users).queryImpl(null, k, shareBlocked, visited)
-    (res, visited.sum.toDouble / math.max(1, users.rows))
-  }
+    buildUserIndexImpl(users).queryAll(k)
 
   override def buildUserIndex(users: Matrix): UserIndex = buildUserIndexImpl(users)
 
@@ -153,7 +140,8 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       blockSize: Int,
   ) extends UserIndex {
 
-    override def queryAll(k: Int): Array[TopKResult] =
+    /** Exact top-K for every indexed user, row-aligned with the build matrix. */
+    def queryAll(k: Int): Array[TopKResult] =
       queryImpl(null, k, shareBlocked = blockSize > 0, null)
 
     override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
@@ -166,7 +154,8 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     def queryAllLesion(k: Int, shareBlocked: Boolean): Array[TopKResult] =
       queryImpl(null, k, shareBlocked, null)
 
-    /** Lesion hook with w-bar instrumentation. */
+    /** Lesion hook that also returns the mean items visited per user (w-bar
+      * in Eq. 4), counting both the blocked head and the walked tail. */
     def queryAllCounting(k: Int, shareBlocked: Boolean): (Array[TopKResult], Double) = {
       val visited = new Array[Long](users.rows)
       val res = queryImpl(null, k, shareBlocked, visited)

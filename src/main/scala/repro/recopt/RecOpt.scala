@@ -37,17 +37,19 @@ final case class StrategyEstimate(
 final class BlockTiming(val name: String, val nanos: Long, val users: Int,
                         val results: Array[TopKResult])
 
-/** Everything the estimation phase produced: the estimates, the decision,
-  * and — so the serve phase can reuse work — the prepared strategies and
-  * whatever sample results each strategy already computed (entries may be
-  * null where the t-test stopped early). */
+/** Everything the estimation phase produced: the decision record and — so
+  * the serve phase can reuse work — the prepared strategies and whatever
+  * sample results each strategy already computed (entries may be null where
+  * the t-test stopped early). */
 final class EstimateOutcome(
-    val estimates: Seq[StrategyEstimate],
-    val chosen: String,
+    val report: RecOptReport,
     val prepared: Map[String, PreparedMips],
     val sampleResults: Map[String, Array[TopKResult]],
     val builtUserIndexes: Map[String, UserIndex],
-)
+) {
+  def estimates: Seq[StrategyEstimate] = report.estimates
+  def chosen: String = report.chosen
+}
 
 /** What RECOPT decided and what it cost to decide. */
 final case class RecOptReport(
@@ -56,8 +58,8 @@ final case class RecOptReport(
     sampleSize: Int,
     totalUsers: Int,
     /** optimization work that did NOT produce reused results: the losing
-      * strategies' builds and sampled busy time ([[RecOpt.wastedNanos]]). On
-      * Spark the busy time is summed over partitions timed concurrently. */
+      * strategies' builds and sampled busy time. On Spark the busy time is
+      * summed over partitions timed concurrently. */
     wastedNanos: Long,
     /** wall-clock of the call: local `serveAll` includes serving every user;
       * Spark `topKAllWithRecOpt` covers only the decision phase, not the
@@ -89,15 +91,17 @@ object RecOpt {
   def minSampleForCache(f: Int, l2CacheBytes: Long): Int =
     math.max(1, math.ceil(4.0 * l2CacheBytes / (f.toLong * 8)).toInt)
 
-  /** Pick the user sample: `sampleFraction` of users, but never below the
-    * cache-occupancy floor. Returns sorted row indices. */
+  /** Users to time: `sampleFraction` of them, but never below the
+    * cache-occupancy floor, and never more than there are. */
+  def sampleSize(totalUsers: Int, f: Int, cfg: RecOptConfig): Int =
+    math.min(totalUsers, math.max(math.ceil(totalUsers * cfg.sampleFraction).toInt,
+      minSampleForCache(f, cfg.l2CacheBytes)))
+
+  /** Pick the user sample: [[sampleSize]] users drawn with `cfg.seed`.
+    * Returns sorted row indices. */
   def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] = {
-    val target = math.max(
-      math.ceil(totalUsers * cfg.sampleFraction).toInt,
-      math.min(totalUsers, minSampleForCache(f, cfg.l2CacheBytes)))
-    val sampleSize = math.min(totalUsers, math.max(1, target))
     val rng = new scala.util.Random(cfg.seed)
-    rng.shuffle((0 until totalUsers).toVector).take(sampleSize).sorted.toArray
+    rng.shuffle((0 until totalUsers).toVector).take(sampleSize(totalUsers, f, cfg)).sorted.toArray
   }
 
   /** Index construction (C_I) for every candidate: `(name, prepared,
@@ -152,18 +156,26 @@ object RecOpt {
     }
   }
 
-  /** A strategy's estimated total: build + per-user busy time x population. */
-  def extrapolate(name: String, buildNanos: Long, busyNanos: Long, usersTimed: Int,
-                  totalUsers: Int): StrategyEstimate = {
-    val perUser = busyNanos.toDouble / usersTimed
-    StrategyEstimate(name, buildNanos, perUser, usersTimed, buildNanos + perUser * totalUsers)
-  }
-
-  /** Work spent deciding that the serve does not reuse: the losing
-    * strategies' builds and their sampled busy time. */
-  def wastedNanos(estimates: Seq[StrategyEstimate], chosen: String): Long =
-    estimates.filter(_.name != chosen)
+  /** Decide from `(name, busy nanos, users)` sample timings, summed per
+    * candidate: estimate each of `builds` (name, build nanos) as build + busy
+    * per user x `totalUsers` and pick the minimum. The sample size is what
+    * MM timed; the waste is the losers' builds and busy time. */
+  def report(builds: Seq[(String, Long)], timings: Seq[(String, Long, Int)],
+             totalUsers: Int, startNanos: Long): RecOptReport = {
+    val busy = timings.groupMapReduce(_._1)(t => (t._2, t._3)) {
+      case ((n1, u1), (n2, u2)) => (n1 + n2, u1 + u2)
+    }
+    val estimates = builds.map { case (name, buildNanos) =>
+      val (nanos, users) = busy(name)
+      val perUser = nanos.toDouble / users
+      StrategyEstimate(name, buildNanos, perUser, users, buildNanos + perUser * totalUsers)
+    }
+    val chosen = decide(estimates).name
+    val wasted = estimates.filter(_.name != chosen)
       .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
+    RecOptReport(chosen, estimates, busy("MM")._2, totalUsers, wasted,
+      System.nanoTime() - startNanos)
+  }
 
   /** Estimation phase: build every candidate, time it on the sample, decide.
     * `totalUsers` is the population the per-user costs extrapolate to (it
@@ -179,6 +191,7 @@ object RecOpt {
                cfg: RecOptConfig = RecOptConfig(),
                fullUsers: Option[Matrix] = None,
                sampleIdx: Option[Array[Int]] = None): EstimateOutcome = {
+    val t0 = System.nanoTime()
     val candidates = buildCandidates(items, indexSolvers)
     val userIndexed: Map[String, UserIndexedMips] = (fullUsers, sampleIdx) match {
       case (Some(_), Some(_)) =>
@@ -207,8 +220,9 @@ object RecOpt {
       }
     }
 
-    val all = timed.map { case (t, b) => extrapolate(t.name, b, t.nanos, t.users, totalUsers) }
-    new EstimateOutcome(all, decide(all).name,
+    new EstimateOutcome(
+      report(timed.map { case (t, b) => t.name -> b },
+        timed.map { case (t, _) => (t.name, t.nanos, t.users) }, totalUsers, t0),
       candidates.map { case (name, prep, _) => name -> prep }.toMap,
       timed.map { case (t, _) => t.name -> t.results }.toMap, builtIdx)
   }
@@ -245,8 +259,6 @@ object RecOpt {
       while (j < remainingIdx.length) { out(remainingIdx(j)) = remRes(j); j += 1 }
     }
 
-    val totalNanos = System.nanoTime() - t0
-    (out, RecOptReport(est.chosen, est.estimates, sampleIdx.length, n,
-      wastedNanos(est.estimates, est.chosen), totalNanos))
+    (out, est.report.copy(totalNanos = System.nanoTime() - t0))
   }
 }

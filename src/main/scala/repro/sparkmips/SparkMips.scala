@@ -45,14 +45,13 @@ object SparkMips {
   }
 
   /** Collect an embedding DataFrame to the driver as (ids, Matrix). Use on
-    * the item side only — items are the broadcast-small side. */
-  def collectMatrix(df: DataFrame, idCol: String,
-                    featuresCol: String = "features"): (Array[Long], Matrix) = {
-    val rows = df.select(idCol, featuresCol).collect()
+    * the item side only — items are the broadcast-small side. Every row's
+    * features must be non-null, finite and as long as the first row's. */
+  def collectMatrix(df: DataFrame, idCol: String): (Array[Long], Matrix) = {
+    val rows = df.select(idCol, "features").collect()
     require(rows.nonEmpty, "empty embedding DataFrame")
-    val ids = rows.map(_.getLong(0))
-    val vecs = rows.map(_.getSeq[Double](1).toArray)
-    (ids, Matrix.fromRows(vecs.toIndexedSeq))
+    val f = features(rows.head, "item", -1).length
+    (rows.map(_.getLong(0)), Matrix.fromRows(rows.map(features(_, "item", f)).toIndexedSeq))
   }
 
   /** Distributed exact top-K for every user with a fixed strategy.
@@ -63,15 +62,16 @@ object SparkMips {
     * k < 1 fails on the driver. The users are not counted, since that is one
     * more Spark job per call (about 0.1 s for 8,000 users on 4 cores, over a
     * quarter of an MM serve there), so an empty users DataFrame yields no rows.
+    * A user whose features are null, non-finite or not as long as the items'
+    * fails its task with a message naming the user.
     */
   def topKAll(spark: SparkSession, users: DataFrame, items: DataFrame, k: Int,
-              solver: MipsSolver,
-              userIdCol: String = "user_id", itemIdCol: String = "item_id"): DataFrame = {
+              solver: MipsSolver): DataFrame = {
     requireK(k)
-    val (itemIds, itemMatrix) = collectMatrix(items, itemIdCol)
+    val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
     // prepare once on the driver; the prepared index is broadcast so every
     // partition pays query cost only (index build cost C_I is paid once)
-    serve(spark, users, userIdCol, itemIds, solver.prepare(itemMatrix), k)
+    serve(spark, users, itemIds, itemMatrix.cols, solver.prepare(itemMatrix), k)
   }
 
   /** Distributed serving with RECOPT choosing the strategy.
@@ -87,52 +87,39 @@ object SparkMips {
     * the sampled users. The report's `totalNanos` covers the decision phase.
     *
     * Fails on the driver if k < 1, the users DataFrame is empty, or it holds
-    * more than `Int.MaxValue` users.
+    * more than `Int.MaxValue` users; bad user features fail as in [[topKAll]].
     */
   def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
                         k: Int, indexSolvers: Seq[MipsSolver],
-                        cfg: RecOptConfig = RecOptConfig(),
-                        userIdCol: String = "user_id", itemIdCol: String = "item_id")
-      : (DataFrame, RecOptReport) = {
+                        cfg: RecOptConfig = RecOptConfig()): (DataFrame, RecOptReport) = {
     val t0 = System.nanoTime()
     requireK(k)
     val totalUsers = countUsers(users)
-    val (itemIds, itemMatrix) = collectMatrix(items, itemIdCol)
+    val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
+    val f = itemMatrix.cols
     val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
     val prepared = candidates.map { case (name, prep, _) => name -> prep }
 
     // --- every partition times every candidate on its share of the sample ---
-    val floor = RecOpt.minSampleForCache(itemMatrix.cols, cfg.l2CacheBytes)
-    val fraction = math.min(1.0,
-      math.max(cfg.sampleFraction, floor.toDouble / totalUsers))
     val bCandidates = spark.sparkContext.broadcast(prepared)
-    val sampled = users.select("features").sample(withReplacement = false, fraction, cfg.seed)
+    val time = (rows: Array[Row]) =>
+      RecOpt.timeBlock(decode(rows, f), k, bCandidates.value, cfg).map(t => (t.name, t.nanos, t.users))
+    val userRows = users.select("user_id", "features")
+    val fraction = RecOpt.sampleSize(totalUsers, f, cfg).toDouble / totalUsers
+    val sampled = userRows.sample(withReplacement = false, fraction, cfg.seed)
       .rdd.mapPartitions { it =>
         val rows = it.toArray
-        if (rows.isEmpty) Iterator.empty
-        else RecOpt.timeBlock(decode(rows, 0), k, bCandidates.value, cfg).iterator
-          .map(t => (t.name, t.nanos, t.users))
+        if (rows.isEmpty) Iterator.empty else time(rows).iterator
       }.collect()
-    bCandidates.destroy()
     // an empty sample (possible when the expected size is a few users) is
     // replaced by the first user, timed on the driver
-    val timings =
-      if (sampled.nonEmpty) sampled.toSeq
-      else RecOpt.timeBlock(decode(Array(users.select("features").head()), 0), k, prepared, cfg)
-        .map(t => (t.name, t.nanos, t.users))
-    val busy = timings.groupMapReduce(_._1)(t => (t._2, t._3)) {
-      case ((n1, u1), (n2, u2)) => (n1 + n2, u1 + u2)
-    }
-    val estimates = candidates.map { case (name, _, buildNanos) =>
-      val (nanos, timed) = busy(name)
-      RecOpt.extrapolate(name, buildNanos, nanos, timed, totalUsers)
-    }
-    val chosen = RecOpt.decide(estimates).name
-    val report = RecOptReport(chosen, estimates, busy("MM")._2, totalUsers,
-      RecOpt.wastedNanos(estimates, chosen), totalNanos = System.nanoTime() - t0)
+    val timings = if (sampled.nonEmpty) sampled.toSeq else time(Array(userRows.head()))
+    bCandidates.destroy()
+    val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
+      timings, totalUsers, t0)
 
     // --- serve with the winner's already-built index ---
-    (serve(spark, users, userIdCol, itemIds, prepared.find(_._1 == chosen).get._2, k), report)
+    (serve(spark, users, itemIds, f, prepared.find(_._1 == report.chosen).get._2, k), report)
   }
 
   private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
@@ -145,23 +132,37 @@ object SparkMips {
     n.toInt
   }
 
-  /** Decode one partition's rows into a user block; `col` holds the features. */
-  private def decode(rows: Array[Row], col: Int): Matrix =
-    Matrix.fromRows(rows.map(_.getSeq[Double](col).toArray).toIndexedSeq)
+  /** The features of an `(id, features)` row, failing with a message that
+    * names the `kind` and id unless they are non-null, finite and — when
+    * `f >= 0` — exactly `f` long. */
+  private def features(row: Row, kind: String, f: Int): Array[Double] = {
+    require(!row.isNullAt(1), s"$kind ${row.getLong(0)}: features is null")
+    val v = row.getSeq[Double](1).toArray
+    require(f < 0 || v.length == f,
+      s"$kind ${row.getLong(0)}: ${v.length} features, expected $f")
+    require(v.forall(java.lang.Double.isFinite),
+      s"$kind ${row.getLong(0)}: features hold a NaN or infinite value")
+    v
+  }
+
+  /** Decode one partition's `(user_id, features)` rows into a user block of
+    * the items' dimension `f`. */
+  private def decode(rows: Array[Row], f: Int): Matrix =
+    Matrix.fromRows(rows.map(features(_, "user", f)).toIndexedSeq)
 
   /** The per-partition operator of every serve: broadcast the prepared
     * strategy, then each partition decodes its users into one block, runs
     * `queryBatch`, and encodes (user_id, item_id, rank, score) rows. */
-  private def serve(spark: SparkSession, users: DataFrame, userIdCol: String,
-                    itemIds: Array[Long], prepared: PreparedMips, k: Int): DataFrame = {
+  private def serve(spark: SparkSession, users: DataFrame, itemIds: Array[Long], f: Int,
+                    prepared: PreparedMips, k: Int): DataFrame = {
     val bPrepared = spark.sparkContext.broadcast(prepared)
     val bItemIds = spark.sparkContext.broadcast(itemIds)
-    val out = users.select(userIdCol, "features").rdd.mapPartitions { it =>
+    val out = users.select("user_id", "features").rdd.mapPartitions { it =>
       val batch = it.toArray
       if (batch.isEmpty) Iterator.empty
       else {
         val ids = batch.map(_.getLong(0))
-        val results = bPrepared.value.queryBatch(decode(batch, 1), k)
+        val results = bPrepared.value.queryBatch(decode(batch, f), k)
         val iIds = bItemIds.value
         results.iterator.zipWithIndex.flatMap { case (res, r) =>
           res.ids.iterator.zipWithIndex.map { case (item, rank) =>

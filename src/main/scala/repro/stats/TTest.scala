@@ -86,11 +86,8 @@ object TTest {
   /** Two-sided p-value of a one-sample t-test of `sample` against mean `mu0`.
     * Returns 1.0 when the sample is too small or degenerate to test. */
   def oneSamplePValue(sample: IndexedSeq[Double], mu0: Double): Double = {
-    val n = sample.length
+    val Summary(n, mean, sd) = summarize(sample)
     if (n < 2) return 1.0
-    val mean = sample.sum / n
-    val varSum = sample.map(v => { val d = v - mean; d * d }).sum
-    val sd = math.sqrt(varSum / (n - 1))
     if (sd < 1e-300) return if (mean == mu0) 1.0 else 0.0
     val t = (mean - mu0) / (sd / math.sqrt(n.toDouble))
     2.0 * (1.0 - tCdf(math.abs(t), n - 1.0))

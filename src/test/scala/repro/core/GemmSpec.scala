@@ -66,13 +66,6 @@ class GemmSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("av matches per-row dot products") {
-    val a = Matrix.randn(10, 6, seed = 3)
-    val x = Array.tabulate(6)(_.toDouble)
-    val y = Gemm.av(a, x)
-    (0 until 10).foreach(i => assert(math.abs(y(i) - a.rowDot(i, x)) < 1e-12))
-  }
-
   test("gram is A^T A, symmetric") {
     val a = Matrix.randn(20, 5, seed = 9)
     val g = Gemm.gram(a)

@@ -35,11 +35,6 @@ class MatrixSpec extends AnyFunSuite with PropSupport {
     assert(m.rowNorm(1) == 0.0)
   }
 
-  test("rowNorm1 is the L1 norm") {
-    val m = Matrix.fromRows(Seq(Array(-3.0, 4.0)))
-    assert(m.rowNorm1(0) == 7.0)
-  }
-
   test("rowDot matches explicit computation") {
     val m = Matrix.fromRows(Seq(Array(1.0, 2.0, 3.0)))
     assert(m.rowDot(0, Array(4.0, 5.0, 6.0)) == 32.0)

@@ -48,19 +48,11 @@ class TopKSpec extends AnyFunSuite with PropSupport {
     assert(r.size == 2)
   }
 
-  test("minScore / isFull / wouldAccept semantics") {
+  test("minScore / isFull semantics") {
     val h = new TopKHeap(2)
     assert(!h.isFull)
-    assert(h.wouldAccept(-100.0, 0))
     h.offer(1.0, 0); h.offer(2.0, 1)
     assert(h.isFull && h.minScore == 1.0)
-    assert(h.wouldAccept(1.5, 9))
-    assert(!h.wouldAccept(0.5, 9))
-    assert(!h.wouldAccept(1.0, 9)) // equal score, larger id than the min's id 0
-    // but equal score with a smaller id is accepted — construct that case:
-    val h2 = new TopKHeap(1)
-    h2.offer(1.0, 5)
-    assert(h2.wouldAccept(1.0, 3))
   }
 
   test("negative and infinite scores handled") {
@@ -72,16 +64,10 @@ class TopKSpec extends AnyFunSuite with PropSupport {
     assert(r.ids.toSeq == Seq(2, 1))
   }
 
-  test("TopK.ofRow matches reference") {
+  test("TopK.ofMatrixRow matches reference on a one-row matrix") {
     val scores = Array(3.0, 3.0, 1.0, 8.0, 2.0, 8.0)
-    val got = TopK.ofRow(scores, 4)
+    val got = TopK.ofMatrixRow(Matrix.fromRows(Seq(scores)), 0, 4)
     assert(got.toPairs == refTopK(scores.toIndexedSeq, 4))
-  }
-
-  test("TopK.ofMatrixRow respects id offset") {
-    val m = Matrix.fromRows(Seq(Array(1.0, 9.0, 5.0)))
-    val r = TopK.ofMatrixRow(m, 0, 2, idOffset = 100)
-    assert(r.ids.toSeq == Seq(101, 102))
   }
 
   checkProp("property: heap equals sort-based reference") {

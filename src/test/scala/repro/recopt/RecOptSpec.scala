@@ -60,6 +60,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(idx.toSeq == idx.toSeq.sorted)
     assert(idx.distinct.length == idx.length)
     assert(idx.forall(i => i >= 0 && i < 10000))
+    assert(idx.length == RecOpt.sampleSize(10000, 8, cfg))
   }
 
   test("sampleIndices clamps to the population") {

@@ -212,6 +212,46 @@ class SparkMipsSpec extends SparkSpec {
     assert(SparkMips.topKAll(spark, users, itemsDf, 2, new BruteForceMM()).count() == 0)
   }
 
+  /** Five `(id, features)` rows of dimension 3 whose row 3 is `bad` when
+    * `withBad`; features are nullable so `bad` may be null. */
+  private def rowsDf(idCol: String, bad: Seq[Double], withBad: Boolean): DataFrame = {
+    val m = Matrix.randn(5, 3, seed = 3)
+    val schema = StructType(Seq(
+      StructField(idCol, LongType, nullable = false),
+      StructField("features", ArrayType(DoubleType, containsNull = false), nullable = true)))
+    val rows = (0 until 5).map(r => Row(r.toLong, if (withBad && r == 3) bad else m.row(r).toSeq))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+  }
+
+  /** A bad user row fails both entrypoints (in the serve and in RECOPT's
+    * timing job) and a bad item row fails on the driver, each with a message
+    * naming the row's id. */
+  private def assertRejects(bad: Seq[Double], message: String): Unit = {
+    def failure(body: => Any): String = intercept[Exception](body).getMessage
+    val badUsers = rowsDf("user_id", bad, withBad = true)
+    val items = rowsDf("item_id", bad, withBad = false)
+    val serve = failure(SparkMips.topKAll(spark, badUsers, items, 2, new BruteForceMM()).count())
+    assert(serve.contains(s"user 3: $message"), serve)
+    val recopt = failure(SparkMips.topKAllWithRecOpt(spark, badUsers, items, 2, Seq(new LempIndex())))
+    assert(recopt.contains(s"user 3: $message"), recopt)
+    val item = failure(SparkMips.topKAll(spark, rowsDf("user_id", bad, withBad = false),
+      rowsDf("item_id", bad, withBad = true), 2, new BruteForceMM()))
+    assert(item.contains(s"item 3: $message"), item)
+  }
+
+  test("a null features array fails with a message naming the row") {
+    assertRejects(null, "features is null")
+  }
+
+  test("features of the wrong length fail with a message naming the row") {
+    assertRejects(Seq(1.0, 2.0), "2 features, expected 3")
+  }
+
+  test("NaN or infinite features fail with a message naming the row") {
+    assertRejects(Seq(1.0, Double.NaN, 3.0), "features hold a NaN or infinite value")
+    assertRejects(Seq(Double.NegativeInfinity, 2.0, 3.0), "features hold a NaN or infinite value")
+  }
+
   test("topKAllWithRecOpt rejects more than Int.MaxValue users on the driver") {
     val users = spark.range(Int.MaxValue.toLong + 1)
       .select(col("id").as("user_id"), array(lit(1.0), lit(2.0), lit(3.0)).as("features"))
