@@ -242,23 +242,32 @@ object RecOpt {
       fullUsers = Some(users), sampleIdx = Some(sampleIdx))
 
     // --- serve the remaining users with the winner, reusing sample results ---
-    val out = new Array[TopKResult](n)
-    val winnerSample = est.sampleResults(est.chosen)
-    var i = 0
-    while (i < sampleIdx.length) {
-      if (winnerSample(i) != null) out(sampleIdx(i)) = winnerSample(i)
-      i += 1
-    }
-    val remainingIdx = (0 until n).filter(out(_) == null).toArray
-    if (remainingIdx.nonEmpty) {
-      val remRes = est.builtUserIndexes.get(est.chosen) match {
+    val out = reuseSample(n, sampleIdx, est.sampleResults(est.chosen)) { remainingIdx =>
+      est.builtUserIndexes.get(est.chosen) match {
         case Some(userIndex) => userIndex.querySubset(remainingIdx, k)
         case None => est.prepared(est.chosen).queryBatch(users.selectRows(remainingIdx), k)
       }
-      var j = 0
-      while (j < remainingIdx.length) { out(remainingIdx(j)) = remRes(j); j += 1 }
     }
 
     (out, est.report.copy(totalNanos = System.nanoTime() - t0))
+  }
+
+  /** The top-K of `n` users given the winner's results on a sample:
+    * `sampled(i)` belongs to user `sampleIdx(i)` and is null where the t-test
+    * stopped. Sampled results are kept as they are; `serve` runs once, on the
+    * users left without one in ascending order, and not at all if there are
+    * none. Result i belongs to user i. */
+  def reuseSample(n: Int, sampleIdx: Array[Int], sampled: Array[TopKResult])
+                 (serve: Array[Int] => Array[TopKResult]): Array[TopKResult] = {
+    val out = new Array[TopKResult](n)
+    var i = 0
+    while (i < sampled.length) { out(sampleIdx(i)) = sampled(i); i += 1 }
+    val remainingIdx = (0 until n).filter(out(_) == null).toArray
+    if (remainingIdx.nonEmpty) {
+      val remRes = serve(remainingIdx)
+      var j = 0
+      while (j < remainingIdx.length) { out(remainingIdx(j)) = remRes(j); j += 1 }
+    }
+    out
   }
 }

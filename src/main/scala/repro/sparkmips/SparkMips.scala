@@ -1,9 +1,13 @@
 package repro.sparkmips
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, InternalRows, Row, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.types._
-import repro.core.{Matrix, MipsSolver, PreparedMips}
-import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
+import org.apache.spark.storage.StorageLevel
+import org.apache.spark.util.random.BernoulliCellSampler
+import repro.core.{Matrix, MipsSolver, TopKResult}
+import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
 
 /** Batch MIPS serving on Spark — the paper's kernels as a per-partition
   * vectorized operator.
@@ -19,9 +23,13 @@ import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
   * parallelism — exactly the batch-serving setting of §2.2.
   *
   * RECOPT decides where the users live: the driver builds every candidate
-  * once and broadcasts them, one Spark job times them on each partition's
-  * share of a user sample, the driver extrapolates and decides, and the
-  * distributed pass serves with the winner's already-built index.
+  * once and broadcasts them, one Spark job decodes each partition once and
+  * times them on its share of a user sample, the driver extrapolates and
+  * decides, and the serve reuses the winner's sampled results and runs its
+  * already-built index on the rest of the kept blocks.
+  *
+  * Users and items are read, and results written, as Spark's internal rows
+  * ([[org.apache.spark.sql.InternalRows]]), never as `Row`s.
   */
 object SparkMips {
 
@@ -46,12 +54,12 @@ object SparkMips {
 
   /** Collect an embedding DataFrame to the driver as (ids, Matrix). Use on
     * the item side only — items are the broadcast-small side. Every row's
-    * features must be non-null, finite and as long as the first row's. */
+    * features must be non-null, null-free, finite and as long as the first
+    * row's. */
   def collectMatrix(df: DataFrame, idCol: String): (Array[Long], Matrix) = {
-    val rows = df.select(idCol, "features").collect()
+    val rows = InternalRows.collect(embeddings(df, idCol))
     require(rows.nonEmpty, "empty embedding DataFrame")
-    val f = features(rows.head, "item", -1).length
-    (rows.map(_.getLong(0)), Matrix.fromRows(rows.map(features(_, "item", f)).toIndexedSeq))
+    decode(rows.iterator, "item", -1)
   }
 
   /** Distributed exact top-K for every user with a fixed strategy.
@@ -59,11 +67,13 @@ object SparkMips {
     * Output: one row per (user, rank), rank 1-based, ordered within a user
     * by (score desc, item_id asc) — the repo-wide deterministic tie-break.
     *
-    * k < 1 fails on the driver. The users are not counted, since that is one
-    * more Spark job per call (about 0.1 s for 8,000 users on 4 cores, over a
-    * quarter of an MM serve there), so an empty users DataFrame yields no rows.
-    * A user whose features are null, non-finite or not as long as the items'
-    * fails its task with a message naming the user.
+    * k < 1 and column types other than `user_id BIGINT`, `features
+    * ARRAY<DOUBLE>` fail on the driver. The users are not counted, since that
+    * is one more Spark job per call (about 0.1 s for 8,000 users on 4 cores,
+    * over a quarter of an MM serve there), so an empty users DataFrame yields
+    * no rows. A null user id, or features that are null, hold a null or
+    * non-finite value or are not as long as the items', fail the user's task
+    * with a message naming the user.
     */
   def topKAll(spark: SparkSession, users: DataFrame, items: DataFrame, k: Int,
               solver: MipsSolver): DataFrame = {
@@ -71,56 +81,95 @@ object SparkMips {
     val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
     // prepare once on the driver; the prepared index is broadcast so every
     // partition pays query cost only (index build cost C_I is paid once)
-    serve(spark, users, itemIds, itemMatrix.cols, solver.prepare(itemMatrix), k)
+    val bPrepared = spark.sparkContext.broadcast(solver.prepare(itemMatrix))
+    val bItemIds = spark.sparkContext.broadcast(itemIds)
+    val f = itemMatrix.cols
+    val out = InternalRows.rdd(embeddings(users, "user_id")).mapPartitions { it =>
+      val (ids, block) = decode(it, "user", f)
+      if (ids.isEmpty) Iterator.empty
+      else encode(ids, bPrepared.value.queryBatch(block, k), bItemIds.value)
+    }
+    InternalRows.toDataFrame(spark, out, OutputSchema)
   }
 
   /** Distributed serving with RECOPT choosing the strategy.
     *
     * Decision phase, eager: collect the items once; build MM and every
-    * candidate once on the driver (C_I); broadcast them and run one job over
-    * `cfg.sampleFraction` of the users (at least the 4x-L2 floor, seeded by
-    * `cfg.seed`) in which every partition times every candidate on its share
-    * of the sample ([[RecOpt.timeBlock]]); extrapolate and decide on the
-    * driver. Serve phase, lazy: the returned DataFrame runs the winner's
-    * already-built index through the same per-partition operator as
-    * [[topKAll]]. The sample's results are not reused: the serve recomputes
-    * the sampled users. The report's `totalNanos` covers the decision phase.
+    * candidate once on the driver (C_I) and broadcast them; then one pass
+    * over the users decodes each partition into a block, picks the rows
+    * `Dataset.sample(false, fraction, cfg.seed)` would pick (`fraction` is
+    * `cfg.sampleFraction`, raised to the 4x-L2 floor), times every candidate
+    * on them ([[RecOpt.timeBlock]]) and keeps the block and each candidate's
+    * sampled results in memory; the driver extrapolates the timings and
+    * decides. Serve phase, lazy: the returned DataFrame maps over the same
+    * blocks, emits the winner's sampled results as they are and runs the
+    * winner's already-built index on the rows it has no result for. The
+    * report's `totalNanos` covers the decision phase.
     *
-    * Fails on the driver if k < 1, the users DataFrame is empty, or it holds
-    * more than `Int.MaxValue` users; bad user features fail as in [[topKAll]].
+    * The kept blocks and the candidates' broadcast live as long as the
+    * returned DataFrame and are released by Spark's `ContextCleaner`. A
+    * block Spark drops is recomputed from the users, which times its sampled
+    * rows again, so the broadcast is never destroyed here.
+    *
+    * Fails on the driver if k < 1, the column types are wrong, the users
+    * DataFrame is empty, or it holds more than `Int.MaxValue` users; bad user
+    * rows fail as in [[topKAll]].
     */
   def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
                         k: Int, indexSolvers: Seq[MipsSolver],
                         cfg: RecOptConfig = RecOptConfig()): (DataFrame, RecOptReport) = {
     val t0 = System.nanoTime()
     requireK(k)
+    val userRows = InternalRows.rdd(embeddings(users, "user_id"))
     val totalUsers = countUsers(users)
     val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
     val f = itemMatrix.cols
     val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
     val prepared = candidates.map { case (name, prep, _) => name -> prep }
 
-    // --- every partition times every candidate on its share of the sample ---
+    // --- one pass: decode every partition once, time the candidates on its sampled rows ---
     val bCandidates = spark.sparkContext.broadcast(prepared)
-    val time = (rows: Array[Row]) =>
-      RecOpt.timeBlock(decode(rows, f), k, bCandidates.value, cfg).map(t => (t.name, t.nanos, t.users))
-    val userRows = users.select("user_id", "features")
     val fraction = RecOpt.sampleSize(totalUsers, f, cfg).toDouble / totalUsers
-    val sampled = userRows.sample(withReplacement = false, fraction, cfg.seed)
-      .rdd.mapPartitions { it =>
-        val rows = it.toArray
-        if (rows.isEmpty) Iterator.empty else time(rows).iterator
-      }.collect()
+    val seed = cfg.seed
+    val blocks = userRows.mapPartitionsWithIndex { (p, it) =>
+      val (ids, block) = decode(it, "user", f)
+      // the draws Dataset.sample makes: one per row, seeded by seed + partition
+      val sampler = new BernoulliCellSampler[InternalRow](0.0, fraction)
+      sampler.setSeed(seed + p)
+      val sampled = Array.range(0, ids.length).filter(_ => sampler.sample() != 0)
+      val timings =
+        if (sampled.isEmpty) Seq.empty
+        else RecOpt.timeBlock(block.selectRows(sampled), k, bCandidates.value, cfg)
+      Iterator.single(new TimedBlock(ids, block, sampled, timings))
+    }.persist(StorageLevel.MEMORY_ONLY)
+    val busy = (t: BlockTiming) => (t.name, t.nanos, t.users)
+    val sampleTimings = blocks.flatMap(_.timings.map(busy)).collect()
     // an empty sample (possible when the expected size is a few users) is
     // replaced by the first user, timed on the driver
-    val timings = if (sampled.nonEmpty) sampled.toSeq else time(Array(userRows.head()))
-    bCandidates.destroy()
+    val timings =
+      if (sampleTimings.nonEmpty) sampleTimings.toSeq
+      else RecOpt.timeBlock(blocks.filter(_.ids.nonEmpty).map(_.block.sliceRows(0, 1)).first(),
+        k, prepared, cfg).map(busy)
     val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
       timings, totalUsers, t0)
 
-    // --- serve with the winner's already-built index ---
-    (serve(spark, users, itemIds, f, prepared.find(_._1 == report.chosen).get._2, k), report)
+    // --- serve the same blocks: the winner's sampled results, its index for the rest ---
+    val chosen = report.chosen
+    val bItemIds = spark.sparkContext.broadcast(itemIds)
+    val out = blocks.mapPartitions(_.flatMap { b =>
+      val winner = bCandidates.value.find(_._1 == chosen).get._2
+      val sampled = b.timings.find(_.name == chosen).fold(Array.empty[TopKResult])(_.results)
+      val results = RecOpt.reuseSample(b.ids.length, b.sampled, sampled)(rest =>
+        winner.queryBatch(b.block.selectRows(rest), k))
+      encode(b.ids, results, bItemIds.value)
+    })
+    (InternalRows.toDataFrame(spark, out, OutputSchema), report)
   }
+
+  /** One partition of RECOPT's pass: its user ids and block, the block rows
+    * in the sample, and each candidate's timing on them. */
+  private final class TimedBlock(val ids: Array[Long], val block: Matrix,
+                                 val sampled: Array[Int], val timings: Seq[BlockTiming])
 
   private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
 
@@ -132,45 +181,68 @@ object SparkMips {
     n.toInt
   }
 
-  /** The features of an `(id, features)` row, failing with a message that
-    * names the `kind` and id unless they are non-null, finite and — when
-    * `f >= 0` — exactly `f` long. */
-  private def features(row: Row, kind: String, f: Int): Array[Double] = {
-    require(!row.isNullAt(1), s"$kind ${row.getLong(0)}: features is null")
-    val v = row.getSeq[Double](1).toArray
-    require(f < 0 || v.length == f,
-      s"$kind ${row.getLong(0)}: ${v.length} features, expected $f")
-    require(v.forall(java.lang.Double.isFinite),
-      s"$kind ${row.getLong(0)}: features hold a NaN or infinite value")
-    v
+  /** The `(idCol, features)` columns of `df`, checked on the driver to be
+    * BIGINT and ARRAY<DOUBLE>, the layout [[decode]] reads. */
+  private def embeddings(df: DataFrame, idCol: String): DataFrame = {
+    val view = df.select(idCol, "features")
+    def check(field: StructField, ok: Boolean, expected: DataType): Unit =
+      require(ok, s"column ${field.name} has type ${field.dataType.catalogString}, " +
+        s"expected ${expected.catalogString}")
+    val Array(id, features) = view.schema.fields
+    check(id, id.dataType == LongType, LongType)
+    check(features, PartialFunction.cond(features.dataType) { case ArrayType(DoubleType, _) => true },
+      ArrayType(DoubleType))
+    view
   }
 
-  /** Decode one partition's `(user_id, features)` rows into a user block of
-    * the items' dimension `f`. */
-  private def decode(rows: Array[Row], f: Int): Matrix =
-    Matrix.fromRows(rows.map(features(_, "user", f)).toIndexedSeq)
+  /** Decode [[embeddings]] rows into their ids and one block of dimension
+    * `f`, or of the first row's when `f < 0`. Fails with a message naming the
+    * `kind` and the row's id unless the id is non-null and the features are
+    * non-null, `f` long, null-free and finite. */
+  private def decode(rows: Iterator[InternalRow], kind: String, f: Int): (Array[Long], Matrix) = {
+    val ids = Array.newBuilder[Long]
+    val data = Array.newBuilder[Double]
+    var dim = f
+    rows.foreach { row =>
+      require(!row.isNullAt(0), s"$kind id is null")
+      val id = row.getLong(0)
+      require(!row.isNullAt(1), s"$kind $id: features is null")
+      val arr = row.getArray(1)
+      if (dim < 0) dim = arr.numElements()
+      require(arr.numElements() == dim, s"$kind $id: ${arr.numElements()} features, expected $dim")
+      // a null slot reads as 0.0, so nulls are looked for in `arr`, not `v`
+      val v = arr.toDoubleArray()
+      var hasNull = false
+      var finite = true
+      var j = 0
+      while (j < dim) {
+        hasNull |= arr.isNullAt(j)
+        finite &= java.lang.Double.isFinite(v(j))
+        j += 1
+      }
+      require(!hasNull, s"$kind $id: features hold a null value")
+      require(finite, s"$kind $id: features hold a NaN or infinite value")
+      ids += id
+      data.addAll(v)
+    }
+    val idArr = ids.result()
+    (idArr, new Matrix(idArr.length, math.max(dim, 0), data.result()))
+  }
 
-  /** The per-partition operator of every serve: broadcast the prepared
-    * strategy, then each partition decodes its users into one block, runs
-    * `queryBatch`, and encodes (user_id, item_id, rank, score) rows. */
-  private def serve(spark: SparkSession, users: DataFrame, itemIds: Array[Long], f: Int,
-                    prepared: PreparedMips, k: Int): DataFrame = {
-    val bPrepared = spark.sparkContext.broadcast(prepared)
-    val bItemIds = spark.sparkContext.broadcast(itemIds)
-    val out = users.select("user_id", "features").rdd.mapPartitions { it =>
-      val batch = it.toArray
-      if (batch.isEmpty) Iterator.empty
-      else {
-        val ids = batch.map(_.getLong(0))
-        val results = bPrepared.value.queryBatch(decode(batch, f), k)
-        val iIds = bItemIds.value
-        results.iterator.zipWithIndex.flatMap { case (res, r) =>
-          res.ids.iterator.zipWithIndex.map { case (item, rank) =>
-            Row(ids(r), iIds(item), rank + 1, res.scores(rank))
-          }
-        }
+  /** `(user_id, item_id, rank, score)` rows of one block's results, all
+    * written by one reused `UnsafeRowWriter`. */
+  private def encode(userIds: Array[Long], results: Array[TopKResult],
+                     itemIds: Array[Long]): Iterator[InternalRow] = {
+    val writer = new UnsafeRowWriter(OutputSchema.length)
+    Iterator.range(0, results.length).flatMap { r =>
+      val res = results(r)
+      Iterator.range(0, res.size).map { rank =>
+        writer.write(0, userIds(r))
+        writer.write(1, itemIds(res.ids(rank)))
+        writer.write(2, rank + 1)
+        writer.write(3, res.scores(rank))
+        writer.getRow()
       }
     }
-    spark.createDataFrame(out, OutputSchema)
   }
 }

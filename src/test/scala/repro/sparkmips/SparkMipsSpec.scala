@@ -1,15 +1,19 @@
 package repro.sparkmips
 
+import java.util.concurrent.atomic.AtomicLong
+
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{array, col, lit}
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
 import repro.recdex.Recdex
-import repro.recopt.RecOptConfig
+import repro.recopt.{RecOpt, RecOptConfig}
 
 /** Distributed serving correctness.
   *
@@ -130,23 +134,32 @@ class SparkMipsSpec extends SparkSpec {
     }
   }
 
-  /** Counts `prepare` calls, which run on the driver only. */
+  /** Counts `prepare` calls, which run on the driver only, and wraps each
+    * prepared strategy so that it counts the users it serves. */
   private final class CountingSolver(inner: MipsSolver) extends MipsSolver {
     var prepares = 0
     override def name: String = inner.name
-    override def prepare(items: Matrix): PreparedMips = { prepares += 1; inner.prepare(items) }
+    override def prepare(items: Matrix): PreparedMips = {
+      prepares += 1
+      new SparkMipsSpec.CountingPrepared(name, inner.prepare(items))
+    }
   }
 
-  test("topKAllWithRecOpt prepares each candidate once and serves with it") {
-    // one dominant item aligned with every user: LEMP's first bucket holds
-    // the answer and its bound prunes the rest, while MM scores all 3000
-    // items, so an index wins and the test sees the winner's prepare count
+  /** One dominant item aligned with every user: LEMP's first bucket holds
+    * the answer and its bound prunes the rest, while MM scores all 3000
+    * items, so an index wins RECOPT. Every user's top-1 is item 0. */
+  private def dominantItemModel: (Matrix, Matrix) = {
     val f = 16
     val dir = Array.tabulate(f)(d => if (d % 2 == 0) 1.0 else 0.5)
     val noise = Matrix.randn(600, f, seed = 5)
     val u = Matrix.tabulate(600, f)((r, d) => 3 * dir(d) + 0.3 * noise(r, d))
     val small = Matrix.randn(3000, f, seed = 6)
-    val i = Matrix.tabulate(3000, f)((r, d) => if (r == 0) 100 * dir(d) else 0.2 * small(r, d))
+    (u, Matrix.tabulate(3000, f)((r, d) => if (r == 0) 100 * dir(d) else 0.2 * small(r, d)))
+  }
+
+  test("topKAllWithRecOpt prepares each candidate once and serves with it") {
+    // an index wins, so the test sees the winner's prepare count
+    val (u, i) = dominantItemModel
     val lemp = new CountingSolver(new LempIndex(bucketSize = 16))
     val recdex = new CountingSolver(new Recdex(3, 8))
     val (df, report) = SparkMips.topKAllWithRecOpt(spark,
@@ -157,6 +170,47 @@ class SparkMipsSpec extends SparkSpec {
     assert(lemp.prepares == 1 && recdex.prepares == 1,
       s"prepares: LEMP ${lemp.prepares}, RECDEX ${recdex.prepares}")
     assert(rows.length == 600 && rows.forall(_.getLong(1) == 0L))
+  }
+
+  test("topKAllWithRecOpt serves its sampled users from the timing pass") {
+    // at fraction 1 every user is timed, so the winner serves each user
+    // once: in the timing pass, or in the serve where its t-test stopped
+    val (u, i) = dominantItemModel
+    SparkMipsSpec.queried.clear()
+    val (df, report) = SparkMips.topKAllWithRecOpt(spark,
+      SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 1,
+      Seq(new CountingSolver(new LempIndex(bucketSize = 16)), new CountingSolver(new Recdex(3, 8))),
+      RecOptConfig(sampleFraction = 1.0))
+    val rows = df.collect()
+    assert(report.chosen != "MM", s"estimates ${report.estimates}")
+    assert(rows.length == 600 && rows.forall(_.getLong(1) == 0L))
+    assert(report.sampleSize == 600)
+    assert(SparkMipsSpec.queried.get(report.chosen).get() == report.sampleSize,
+      s"users served by ${report.chosen}")
+  }
+
+  test("the RECOPT sample picks the users Dataset.sample picks") {
+    // user r's first feature is r, so the recording strategy sees the ids
+    val rng = new scala.util.Random(131)
+    val u = Matrix.tabulate(300, 4)((r, d) => if (d == 0) r.toDouble else rng.nextGaussian())
+    val usersDf = SparkMips.toDf(spark, u, "user_id", 4)
+    val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
+    val recording = new MipsSolver {
+      override def name: String = "RECORDING"
+      override def prepare(items: Matrix): PreparedMips =
+        new SparkMipsSpec.RecordingPrepared(new BruteForceMM().prepare(items))
+    }
+    for (fraction <- Seq(0.05, 0.3, 0.8); seed <- Seq(3L, 17L, 29L)) {
+      // floor = 1 user at l2CacheBytes = 1, so the fraction sets the sample
+      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1, seed = seed)
+      SparkMipsSpec.timedUsers.clear()
+      val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq(recording), cfg)
+      val sampled = usersDf.sample(withReplacement = false,
+        RecOpt.sampleSize(300, 4, cfg).toDouble / 300, seed).collect().map(_.getLong(0))
+      assert(report.chosen == "MM")
+      assert(report.sampleSize == sampled.length, s"fraction $fraction, seed $seed")
+      assert(SparkMipsSpec.timedUsers.asScala.toSet == sampled.toSet, s"fraction $fraction, seed $seed")
+    }
   }
 
   test("report: sample covers every user at fraction 1, waste is the losers' share") {
@@ -212,44 +266,71 @@ class SparkMipsSpec extends SparkSpec {
     assert(SparkMips.topKAll(spark, users, itemsDf, 2, new BruteForceMM()).count() == 0)
   }
 
-  /** Five `(id, features)` rows of dimension 3 whose row 3 is `bad` when
-    * `withBad`; features are nullable so `bad` may be null. */
-  private def rowsDf(idCol: String, bad: Seq[Double], withBad: Boolean): DataFrame = {
+  /** Five `(id, features)` rows of dimension 3 whose row 3 is `bad` if
+    * given; ids and features are nullable so `bad` may hold nulls. */
+  private def rowsDf(idCol: String, bad: Option[Row]): DataFrame = {
     val m = Matrix.randn(5, 3, seed = 3)
     val schema = StructType(Seq(
-      StructField(idCol, LongType, nullable = false),
-      StructField("features", ArrayType(DoubleType, containsNull = false), nullable = true)))
-    val rows = (0 until 5).map(r => Row(r.toLong, if (withBad && r == 3) bad else m.row(r).toSeq))
+      StructField(idCol, LongType, nullable = true),
+      StructField("features", ArrayType(DoubleType, containsNull = true), nullable = true)))
+    val rows = (0 until 5).map(r => bad.filter(_ => r == 3).getOrElse(Row(r.toLong, m.row(r).toSeq)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
   }
 
   /** A bad user row fails both entrypoints (in the serve and in RECOPT's
-    * timing job) and a bad item row fails on the driver, each with a message
-    * naming the row's id. */
-  private def assertRejects(bad: Seq[Double], message: String): Unit = {
+    * timing job) and a bad item row fails on the driver, each with a
+    * message that starts with the row's kind followed by `message`. */
+  private def assertRejects(bad: Row, message: String): Unit = {
     def failure(body: => Any): String = intercept[Exception](body).getMessage
-    val badUsers = rowsDf("user_id", bad, withBad = true)
-    val items = rowsDf("item_id", bad, withBad = false)
+    val badUsers = rowsDf("user_id", Some(bad))
+    val items = rowsDf("item_id", None)
     val serve = failure(SparkMips.topKAll(spark, badUsers, items, 2, new BruteForceMM()).count())
-    assert(serve.contains(s"user 3: $message"), serve)
+    assert(serve.contains(s"user $message"), serve)
     val recopt = failure(SparkMips.topKAllWithRecOpt(spark, badUsers, items, 2, Seq(new LempIndex())))
-    assert(recopt.contains(s"user 3: $message"), recopt)
-    val item = failure(SparkMips.topKAll(spark, rowsDf("user_id", bad, withBad = false),
-      rowsDf("item_id", bad, withBad = true), 2, new BruteForceMM()))
-    assert(item.contains(s"item 3: $message"), item)
+    assert(recopt.contains(s"user $message"), recopt)
+    val item = failure(SparkMips.topKAll(spark, rowsDf("user_id", None),
+      rowsDf("item_id", Some(bad)), 2, new BruteForceMM()))
+    assert(item.contains(s"item $message"), item)
   }
 
   test("a null features array fails with a message naming the row") {
-    assertRejects(null, "features is null")
+    assertRejects(Row(3L, null), "3: features is null")
   }
 
   test("features of the wrong length fail with a message naming the row") {
-    assertRejects(Seq(1.0, 2.0), "2 features, expected 3")
+    assertRejects(Row(3L, Seq(1.0, 2.0)), "3: 2 features, expected 3")
   }
 
   test("NaN or infinite features fail with a message naming the row") {
-    assertRejects(Seq(1.0, Double.NaN, 3.0), "features hold a NaN or infinite value")
-    assertRejects(Seq(Double.NegativeInfinity, 2.0, 3.0), "features hold a NaN or infinite value")
+    assertRejects(Row(3L, Seq(1.0, Double.NaN, 3.0)), "3: features hold a NaN or infinite value")
+    assertRejects(Row(3L, Seq(Double.NegativeInfinity, 2.0, 3.0)),
+      "3: features hold a NaN or infinite value")
+  }
+
+  test("a null element inside features fails with a message naming the row") {
+    assertRejects(Row(3L, Seq(1.0, null, 3.0)), "3: features hold a null value")
+  }
+
+  test("a null id fails with a message naming the kind") {
+    assertRejects(Row(null, Seq(1.0, 2.0, 3.0)), "id is null")
+  }
+
+  test("both entrypoints reject wrong column types on the driver") {
+    def failure(body: => Any): String = intercept[IllegalArgumentException](body).getMessage
+    val users = rowsDf("user_id", None)
+    for ((bad, message) <- Seq(
+        users.withColumn("user_id", col("user_id").cast(IntegerType)) ->
+          "column user_id has type int, expected bigint",
+        users.withColumn("features", col("features").cast(ArrayType(FloatType))) ->
+          "column features has type array<float>, expected array<double>")) {
+      val serve = failure(SparkMips.topKAll(spark, bad, itemsDf, 2, new BruteForceMM()))
+      assert(serve.contains(message), serve)
+      val recopt = failure(SparkMips.topKAllWithRecOpt(spark, bad, itemsDf, 2, Seq(new LempIndex())))
+      assert(recopt.contains(message), recopt)
+    }
+    val item = failure(SparkMips.topKAll(spark, users,
+      itemsDf.withColumn("item_id", col("item_id").cast(IntegerType)), 2, new BruteForceMM()))
+    assert(item.contains("column item_id has type int, expected bigint"), item)
   }
 
   test("topKAllWithRecOpt rejects more than Int.MaxValue users on the driver") {
@@ -258,5 +339,42 @@ class SparkMipsSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](
       SparkMips.topKAllWithRecOpt(spark, users, itemsDf, 2, Seq(new LempIndex())))
     assert(e.getMessage.contains("2147483648 users exceed 2147483647"))
+  }
+}
+
+object SparkMipsSpec {
+  /** Users passed to `query`/`queryBatch`, per strategy name. Global, since
+    * the executors run copies of the broadcast strategies. */
+  val queried = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
+
+  final class CountingPrepared(name: String, inner: PreparedMips) extends PreparedMips {
+    private def count(users: Int): Unit =
+      queried.computeIfAbsent(name, _ => new AtomicLong()).addAndGet(users)
+    override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
+      count(1)
+      inner.query(user, userId, k)
+    }
+    override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
+      count(users.rows)
+      inner.queryBatch(users, k)
+    }
+    override def batchOnly: Boolean = inner.batchOnly
+  }
+
+  /** Ids (first features) of the users [[RecordingPrepared]] was timed on. */
+  val timedUsers: java.util.Set[Long] = java.util.concurrent.ConcurrentHashMap.newKeySet[Long]()
+
+  /** A batch-only strategy that records the first feature of every user it
+    * serves and sleeps per call, so RECOPT times it on the whole sample and
+    * never picks it. */
+  final class RecordingPrepared(inner: PreparedMips) extends PreparedMips {
+    override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
+      inner.query(user, userId, k)
+    override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
+      (0 until users.rows).foreach(r => timedUsers.add(users(r, 0).toLong))
+      Thread.sleep(100)
+      inner.queryBatch(users, k)
+    }
+    override def batchOnly: Boolean = true
   }
 }
