@@ -11,7 +11,7 @@ import repro.recdex.{Recdex, RecdexPrepared}
   * throughput by 2.4x (Netflix-NOMAD f=50) and 1.4x (R2-NOMAD f=50), the
   * effect growing with the average items-visited-per-user (w-bar).
   *
-  * Our GEMM:scalar throughput ratio on the JVM is ~2x (vs MKL's ~10x over
+  * Our GEMM:scalar throughput ratio on the JVM is ~2-3x (vs MKL's ~10x over
   * the authors' scalar traversal), so the profitable head size is smaller
   * relative to w-bar than in the paper. We therefore lesion at two points:
   * the sweep's operating point (B=256) and a head sized to cover the diffuse

@@ -14,29 +14,41 @@ object KMeans {
   /** `centroids`: k x f; `assignments(i)`: cluster of row i. */
   final case class KMeansResult(centroids: Matrix, assignments: Array[Int]) extends Serializable
 
-  /** Squared Euclidean distance between row `r` of `m` and vector `c`. */
-  @inline private def sqDist(m: Matrix, r: Int, c: Array[Double]): Double = {
-    var s = 0.0; val off = r * m.cols
-    var j = 0
-    while (j < m.cols) { val d = m.data(off + j) - c(j); s += d * d; j += 1 }
-    s
+  /** `out(i)` = squared Euclidean distance from point i to `c`, with the
+    * points stored dimension-major (`Matrix.columns`). The adds run in
+    * dimension order from 0.0, as a row-major scalar loop's, and the loop over
+    * points vectorizes. */
+  private def sqDistsInto(pointCols: Array[Array[Double]], c: Array[Double],
+                          out: Array[Double]): Unit = {
+    val n = out.length
+    java.util.Arrays.fill(out, 0.0)
+    var p = 0
+    while (p < c.length) {
+      val col = pointCols(p)
+      val cp = c(p)
+      var i = 0
+      while (i < n) { val d = col(i) - cp; out(i) += d * d; i += 1 }
+      p += 1
+    }
   }
 
-  /** Assign every row of `points` to its nearest centroid (ties: lowest index). */
-  private def assignAll(points: Matrix, centroids: Array[Array[Double]],
+  /** Assign every point to its nearest centroid (ties: lowest index). */
+  private def assignAll(pointCols: Array[Array[Double]], centroids: Array[Array[Double]],
                         assign: Array[Int]): Unit = {
-    var i = 0
-    while (i < points.rows) {
-      var best = 0
-      var bestD = sqDist(points, i, centroids(0))
-      var j = 1
-      while (j < centroids.length) {
-        val d = sqDist(points, i, centroids(j))
-        if (d < bestD) { bestD = d; best = j }
-        j += 1
+    val n = assign.length
+    val bestD = new Array[Double](n)
+    val d = new Array[Double](n)
+    sqDistsInto(pointCols, centroids(0), bestD)
+    java.util.Arrays.fill(assign, 0)
+    var j = 1
+    while (j < centroids.length) {
+      sqDistsInto(pointCols, centroids(j), d)
+      var i = 0
+      while (i < n) {
+        if (d(i) < bestD(i)) { bestD(i) = d(i); assign(i) = j }
+        i += 1
       }
-      assign(i) = best
-      i += 1
+      j += 1
     }
   }
 
@@ -47,17 +59,20 @@ object KMeans {
     val f = points.cols
     val kk = math.min(k, n)
     val rng = new scala.util.Random(seed)
+    val pointCols = points.columns()
 
     // --- k-means++ seeding ---
     val centroids = new Array[Array[Double]](kk)
     centroids(0) = points.row(rng.nextInt(n))
     val minDist = Array.fill(n)(Double.MaxValue)
+    val dist = new Array[Double](n)
     var c = 1
     while (c < kk) {
+      sqDistsInto(pointCols, centroids(c - 1), dist)
       var i = 0
       var total = 0.0
       while (i < n) {
-        val d = sqDist(points, i, centroids(c - 1))
+        val d = dist(i)
         if (d < minDist(i)) minDist(i) = d
         total += minDist(i)
         i += 1
@@ -77,7 +92,7 @@ object KMeans {
     var iter = 0
     var moved = Double.MaxValue
     while (iter < maxIter && moved > 1e-6) {
-      assignAll(points, centroids, assign)
+      assignAll(pointCols, centroids, assign)
       // update step
       val sums = Array.fill(kk)(new Array[Double](f))
       val counts = new Array[Int](kk)
@@ -115,7 +130,7 @@ object KMeans {
     }
 
     // final assignment against the last centroids
-    assignAll(points, centroids, assign)
+    assignAll(pointCols, centroids, assign)
     KMeansResult(Matrix.fromRows(centroids.toIndexedSeq), assign)
   }
 }

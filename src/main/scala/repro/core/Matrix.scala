@@ -4,8 +4,9 @@ package repro.core
   *
   * This is the base type for every numeric kernel in the reproduction:
   * user matrices are `|U| x f`, item matrices `|I| x f`. Row-major layout
-  * keeps each vector contiguous, which the blocked GEMM in [[Gemm]] and the
-  * per-row pruning loops in the index implementations depend on.
+  * keeps each vector contiguous, which the per-row pruning loops in the index
+  * implementations depend on; the vectorized loops in [[Gemm]] read a
+  * dimension-major copy (`columns`) instead.
   *
   * All mutation is via explicit `set`/`data`; the solvers treat matrices as
   * immutable after construction.
@@ -30,12 +31,34 @@ final class Matrix(val rows: Int, val cols: Int, val data: Array[Double]) extend
   /** All row L2 norms. */
   def rowNorms: Array[Double] = Array.tabulate(rows)(rowNorm)
 
-  /** Dot product of row `r` with an external vector of length `cols`. */
+  /** Dot product of row `r` with an external vector of length `cols`.
+    *
+    * The sum starts at 0.0 and adds `this(r, c) * v(c)` for c = 0, 1, …,
+    * cols − 1, one rounding per multiply and per add. The item-major loops
+    * ([[Gemm.dotsInto]], RECDEX's blocked head) run the same operations in the
+    * same order, so their scores equal this one bit for bit and ties between
+    * strategies resolve identically.
+    */
   def rowDot(r: Int, v: Array[Double]): Double = {
     var s = 0.0; val off = r * cols
     var c = 0
     while (c < cols) { s += data(off + c) * v(c); c += 1 }
     s
+  }
+
+  /** Dimension-major copy of rows `[0, until)`: `out(c)(r) == this(r, c)`.
+    * One array per column, so a loop over rows reads each column at the
+    * index it writes, which the JIT vectorizes. */
+  def columns(until: Int = rows): Array[Array[Double]] = {
+    val out = Array.ofDim[Double](cols, until)
+    var r = 0
+    while (r < until) {
+      val off = r * cols
+      var c = 0
+      while (c < cols) { out(c)(r) = data(off + c); c += 1 }
+      r += 1
+    }
+    out
   }
 
   /** New matrix containing rows `[from, until)`. */

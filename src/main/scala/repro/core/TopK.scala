@@ -90,7 +90,7 @@ final class TopKHeap(val k: Int) {
 }
 
 object TopK {
-  /** Exact top-K over one row of a score matrix (used after a GEMM block);
+  /** Exact top-K over one row of a score matrix (MM passes a one-row matrix);
     * item ids are column indices. */
   def ofMatrixRow(m: Matrix, row: Int, k: Int): TopKResult = {
     val h = new TopKHeap(k)

@@ -16,9 +16,11 @@ import repro.core._
   *     mirroring LEMP's bucket layout).
   *
   * Querying (Algorithm 1, QueryIndex + §5.4 blocked head):
-  *  - For each cluster, the first B items of L_c are scored for ALL the
-  *    cluster's queried users at once with the blocked GEMM (work sharing —
-  *    this is the "hardware-efficient execution" lesioned in Fig. 8).
+  *  - For each cluster, the first B items of L_c are kept dimension-major
+  *    and scored for each of the cluster's users with the vectorized
+  *    [[Gemm.dotsInto]], without bound checks (the "hardware-efficient
+  *    execution" lesioned in Fig. 8); the scores go to the heap in list
+  *    order.
   *  - Each user then walks the remainder of L_c with a bounded heap,
   *    terminating as soon as CBound(c, i, θ_b) < min(heap) — exactness is
   *    Theorem 1: the walk visits items in monotonically decreasing upper
@@ -101,6 +103,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     val clusterOrder = new Array[Array[Int]](nC)
     val clusterBounds = new Array[Array[Double]](nC) // aligned with the sorted order
     val clusterItems = new Array[Matrix](nC)
+    val clusterHeads = new Array[Array[Array[Double]]](nC) // first B of L_c, dimension-major
     j = 0
     while (j < nC) {
       if (members(j).nonEmpty) {
@@ -116,17 +119,17 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
             if (thB < thIc) itemNorms(i) * math.cos(thIc - thB) else itemNorms(i)
           i += 1
         }
-        val order = Array.tabulate(n)(identity)
-          .sortBy(i => (-bounds(i), i)) // descending bound, stable on id
+        val order = RecdexPrepared.boundOrder(bounds)
         clusterOrder(j) = order
         clusterBounds(j) = order.map(bounds)
         clusterItems(j) = items.selectRows(order) // contiguous L_c
+        clusterHeads(j) = clusterItems(j).columns(math.min(blockSize, n))
       }
       j += 1
     }
 
     new RecdexUserIndex(users, userNorms, members.map(_.toArray), clusterOrder,
-      clusterBounds, clusterItems, blockSize)
+      clusterBounds, clusterItems, clusterHeads, blockSize)
   }
 
   /** The built per-user-batch index (Algorithm 1's L plus user grouping). */
@@ -137,6 +140,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       clusterOrder: Array[Array[Int]],
       clusterBounds: Array[Array[Double]],
       clusterItems: Array[Matrix],
+      clusterHeads: Array[Array[Array[Double]]],
       blockSize: Int,
   ) extends UserIndex {
 
@@ -186,29 +190,24 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
             val order = clusterOrder(j)
             val bounds = clusterBounds(j)
             val sortedItems = clusterItems(j)
-            val b = if (shareBlocked) math.min(math.max(blockSize, k), n) else 0
-            val heaps = clusterUsers.map(_ => new TopKHeap(k))
+            // Starting the walk at B < k offers the same items as a k-item
+            // head: the heap is not full before its k-th offer.
+            val b = if (shareBlocked) math.min(blockSize, n) else 0
+            val headScores = new Array[Double](b)
 
-            // --- §5.4 blocked head: GEMM the first B items for all users ---
-            if (b > 0) {
-              val headItems = sortedItems.sliceRows(0, b)
-              val uBlock = users.selectRows(clusterUsers)
-              val scores = Gemm.abt(uBlock, headItems) // |C_j| x b
-              var ui = 0
-              while (ui < clusterUsers.length) {
-                val h = heaps(ui)
-                val off = ui * b
-                var p = 0
-                while (p < b) { h.offer(scores.data(off + p), order(p)); p += 1 }
-                ui += 1
-              }
-            }
-
-            // --- per-user walk of the list remainder with CBound termination ---
             var ui = 0
             while (ui < clusterUsers.length) {
               val u = clusterUsers(ui)
-              val h = heaps(ui)
+              val h = new TopKHeap(k)
+
+              // --- §5.4 blocked head: score the first B items, no bound checks ---
+              if (b > 0) {
+                Gemm.dotsInto(users.data, u * users.cols, clusterHeads(j), headScores)
+                var p = 0
+                while (p < b) { h.offer(headScores(p), order(p)); p += 1 }
+              }
+
+              // --- walk of the list remainder with CBound termination ---
               val uNorm = userNorms(u)
               val uRow = users.row(u)
               var p = b
@@ -232,5 +231,40 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       }
       out
     }
+  }
+}
+
+object RecdexPrepared {
+
+  /** Item ids by bound descending, then id ascending — the order of
+    * `sortBy(i => (-bounds(i), i))` with doubles compared as
+    * `java.lang.Double.compare` does — without boxing a key per comparison:
+    * a bottom-up merge sort of the ids, stable, so equal bounds keep their
+    * ids ascending. */
+  private[recdex] def boundOrder(bounds: Array[Double]): Array[Int] = {
+    val n = bounds.length
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var l = lo; var r = mid; var o = lo
+        while (o < hi) {
+          // the right run goes first only on a strictly higher bound
+          if (l == mid || (r < hi &&
+              java.lang.Double.compare(-bounds(src(r)), -bounds(src(l))) < 0)) {
+            dst(o) = src(r); r += 1
+          } else { dst(o) = src(l); l += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
   }
 }

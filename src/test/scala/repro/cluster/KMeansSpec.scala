@@ -81,4 +81,28 @@ class KMeansSpec extends AnyFunSuite with PropSupport {
       r.assignments.length == n && r.assignments.forall(a => a >= 0 && a < r.centroids.rows)
     }
   }
+
+  /** Squared distance of row `r` of `m` to row `j` of `c`, the scalar
+    * row-major loop: adds in dimension order from 0.0. */
+  private def rowMajorSqDist(m: Matrix, r: Int, c: Matrix, j: Int): Double = {
+    var s = 0.0
+    var p = 0
+    while (p < m.cols) { val d = m(r, p) - c(j, p); s += d * d; p += 1 }
+    s
+  }
+
+  checkProp("property: every assignment is the lowest-index nearest centroid", minTests = 40) {
+    // integer points in [-2, 2] give exact distance ties between centroids
+    Prop.forAll(Gen.choose(1, 60), Gen.choose(1, 8), Gen.choose(1, 8),
+      Gen.oneOf(true, false), Gen.choose(0L, 400L)) { (n, k, f, integer, seed) =>
+      val pts =
+        if (integer) { val rng = new scala.util.Random(seed); Matrix.tabulate(n, f)((_, _) => rng.nextInt(5) - 2.0) }
+        else Matrix.randn(n, f, seed)
+      val r = KMeans.fit(pts, k, seed = seed + 1)
+      (0 until n).forall { i =>
+        val d = (0 until r.centroids.rows).map(j => rowMajorSqDist(pts, i, r.centroids, j))
+        r.assignments(i) == d.indexOf(d.min)
+      }
+    }
+  }
 }

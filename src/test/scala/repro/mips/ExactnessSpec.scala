@@ -21,7 +21,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
   private def solvers: Seq[(String, MipsSolver, Double)] = Seq(
     // (label, solver, score tolerance) — SVD-rotating solvers accumulate
     // ~1e-12-scale rotation error, so they get a looser tolerance.
-    ("MM",             new BruteForceMM(userBlock = 64), 1e-9),
+    ("MM",             new BruteForceMM(), 1e-9),
     ("LEMP",           new LempIndex(bucketSize = 32, prefixStep = 4), 1e-9),
     ("LEMP-big-bucket", new LempIndex(bucketSize = 1024, prefixStep = 16), 1e-9),
     ("FEXIPRO-SI",     new Fexipro(useReduction = false), 1e-7),
@@ -118,6 +118,25 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
 
   checkProp("property: RECDEX exact on random shapes", minTests = 30) {
     exactProp(new Recdex(numClusters = 3, blockSize = 8), 1e-9)
+  }
+
+  // Integer coordinates in [-3, 3] make many exact score ties, so the ids
+  // must follow the (score desc, id asc) order row for row.
+  checkProp("property: MM and RECDEX with a full head return brute force's ids and score bits " +
+      "on tie-heavy integer models", minTests = 40) {
+    Prop.forAll(Gen.choose(1, 30), Gen.choose(1, 30), Gen.choose(1, 8),
+      Gen.choose(1, 31), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
+      val k = math.min(k0, ni + 1)
+      val rng = new scala.util.Random(seed)
+      val users = Matrix.tabulate(nu, f)((_, _) => rng.nextInt(7) - 3.0)
+      val items = Matrix.tabulate(ni, f)((_, _) => rng.nextInt(7) - 3.0)
+      val expect = bruteForce(users, items, k)
+      Seq(new BruteForceMM(), new Recdex(numClusters = 3, blockSize = ni + rng.nextInt(3)))
+        .forall { solver =>
+          try { assertIdentical(solver.prepare(items).queryBatch(users, k), expect, solver.name); true }
+          catch { case e: Throwable => println(e.getMessage); false }
+        }
+    }
   }
 
   private def exactProp(solver: MipsSolver, tol: Double): Prop =

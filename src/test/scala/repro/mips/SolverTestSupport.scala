@@ -33,4 +33,16 @@ object SolverTestSupport {
       }
     }
   }
+
+  /** Assert `got` equals `expect` exactly: the same ids in the same order and
+    * scores with the same bits. */
+  def assertIdentical(got: Array[TopKResult], expect: Array[TopKResult],
+                      context: String = ""): Unit = {
+    assert(got.length == expect.length, s"$context: user count ${got.length} vs ${expect.length}")
+    def bits(r: TopKResult) = r.scores.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    got.indices.foreach { u =>
+      assert(got(u).ids.toSeq == expect(u).ids.toSeq, s"$context user $u: ids")
+      assert(bits(got(u)) == bits(expect(u)), s"$context user $u: score bits")
+    }
+  }
 }

@@ -59,7 +59,7 @@ class SparkMipsSpec extends SparkSpec {
   }
 
   for ((label, solverF) <- Seq(
-      "MM"     -> (() => new BruteForceMM(userBlock = 32)),
+      "MM"     -> (() => new BruteForceMM()),
       "LEMP"   -> (() => new LempIndex(bucketSize = 16)),
       "RECDEX" -> (() => new Recdex(numClusters = 3, blockSize = 8))))
     test(s"topKAll($label) matches the DuckDB oracle on integer vectors") {
@@ -160,10 +160,14 @@ class SparkMipsSpec extends SparkSpec {
   test("topKAllWithRecOpt prepares each candidate once and serves with it") {
     // an index wins, so the test sees the winner's prepare count
     val (u, i) = dominantItemModel
+    val (usersDf, itemsDf) = (SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1))
+    // One call first to compile LEMP's point query: before the JIT has, it
+    // ran 20-40x slower per user than after and MM won the estimate.
+    SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 1,
+      Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)), RecOptConfig(sampleFraction = 1.0))._1.count()
     val lemp = new CountingSolver(new LempIndex(bucketSize = 16))
     val recdex = new CountingSolver(new Recdex(3, 8))
-    val (df, report) = SparkMips.topKAllWithRecOpt(spark,
-      SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 1,
+    val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 1,
       Seq(lemp, recdex), RecOptConfig(sampleFraction = 1.0))
     val rows = df.collect()
     assert(report.chosen != "MM", s"estimates ${report.estimates}")
