@@ -23,10 +23,6 @@ trait PreparedMips extends Serializable {
     while (r < users.rows) { out(r) = query(users.row(r), r, k); r += 1 }
     out
   }
-
-  /** True if the strategy only pays off on batches (RECOPT then skips the
-    * per-user t-test and times the full sample, per §4.1). */
-  def batchOnly: Boolean = false
 }
 
 /** A MIPS serving strategy: builds a [[PreparedMips]] from the item matrix.
@@ -40,11 +36,12 @@ trait MipsSolver extends Serializable {
 }
 
 /** A strategy whose index is built over the *query users* as well as the
-  * items (RECDEX: k-means over users + per-cluster sorted lists). The local
-  * `RecOpt.serveAll` builds the user index once over the full population
-  * (construction cost), then times only the walk on a sample — matching the
-  * paper's C_I/Q_I accounting. */
-trait UserIndexedMips { this: PreparedMips =>
+  * items (RECDEX: k-means over users + per-cluster sorted lists). RECOPT
+  * (`RecOpt.timeBlock`, locally and on each Spark partition) builds the user
+  * index once over the whole block as a per-block construction cost, times
+  * only the walk on the block's sample and serves the rest of the block from
+  * the same index — the paper's C_I/Q_I accounting. */
+trait UserIndexedMips extends PreparedMips {
   def buildUserIndex(users: Matrix): UserIndex
 }
 

@@ -30,12 +30,11 @@ import repro.core._
   * rank-irrelevant); the walk therefore compares CBound·‖u‖ against
   * min(heap).
   *
-  * RECDEX is a batch-only strategy (`batchOnly = true`): its index is built
-  * over the query users, so per-user t-test sampling would mis-measure it
-  * (§4.1). Only the local `RecOpt.serveAll` builds the user index over the
-  * full population (construction cost C_I, via [[UserIndexedMips]]) and
-  * times the walk on a sample; Spark RECOPT times `queryBatch` on each
-  * partition's share of the sample, which clusters that share itself.
+  * RECDEX's index is built over the query users, so per-user t-test sampling
+  * would mis-measure it (§4.1). RECOPT (`RecOpt.timeBlock`, locally and on
+  * each Spark partition) builds the user index once over the whole block
+  * (construction cost C_I, via [[UserIndexedMips]]), times the walk on the
+  * block's sample and serves the rest of the block from the same index.
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
                    val kmeansSeed: Long = 42, val kmeansMaxIter: Int = 20)
@@ -48,15 +47,13 @@ final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
 
 final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
                            kmeansSeed: Long, kmeansMaxIter: Int)
-    extends PreparedMips with UserIndexedMips {
+    extends UserIndexedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
 
-  override def batchOnly: Boolean = true
-
   /** Point queries degrade to a one-user cluster (θ_b = 0): an exact walk of
     * the per-user sorted list, i.e. Koenigstein's bound without relaxation.
-    * Provided for interface completeness; RECOPT treats RECDEX as batchOnly. */
+    * Provided for interface completeness; RECOPT uses the user index. */
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
     queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 

@@ -1,7 +1,8 @@
 package repro.recopt
 
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndex,
-  UserIndexedMips}
+import scala.annotation.unused
+
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndexedMips}
 import repro.stats.TTest
 
 /** Configuration for the RECOPT online optimizer (§4).
@@ -11,19 +12,15 @@ import repro.stats.TTest
   * @param l2CacheBytes   assumed L2 cache size; the MM sample is grown until
   *                       the user block occupies at least 4x this (§4.1)
   * @param seed           PRNG seed for the user sample
-  * @param tTestAlpha     p-value threshold for early stopping on point-query
-  *                       indexes
-  * @param minTTestUsers  users to time before the first t-test is attempted
   */
 final case class RecOptConfig(
     sampleFraction: Double = 0.01,
     l2CacheBytes: Long = 1L << 20,
     seed: Long = 7,
-    tTestAlpha: Double = 0.05,
-    minTTestUsers: Int = 16,
 )
 
-/** Per-strategy runtime estimate produced from the sample. */
+/** Per-strategy runtime estimate produced from the sample. `buildNanos` is
+  * the item-side build plus every block's user-side build. */
 final case class StrategyEstimate(
     name: String,
     buildNanos: Long,
@@ -32,23 +29,16 @@ final case class StrategyEstimate(
     estTotalNanos: Double,
 )
 
-/** One strategy's busy time on one block of sampled users. `results(i)` is
-  * block row i's top-K, or null where the t-test stopped before row i. */
-final class BlockTiming(val name: String, val nanos: Long, val users: Int,
-                        val results: Array[TopKResult])
-
-/** Everything the estimation phase produced: the decision record and — so
-  * the serve phase can reuse work — the prepared strategies and whatever
-  * sample results each strategy already computed (entries may be null where
-  * the t-test stopped early). */
-final class EstimateOutcome(
-    val report: RecOptReport,
-    val prepared: Map[String, PreparedMips],
-    val sampleResults: Map[String, Array[TopKResult]],
-    val builtUserIndexes: Map[String, UserIndex],
-) {
-  def estimates: Seq[StrategyEstimate] = report.estimates
-  def chosen: String = report.chosen
+/** One strategy's work on one block: `fixedNanos` built its per-block index
+  * (RECDEX's user index; 0 for the others), and `nanos` is its busy time on
+  * the first `users` sampled rows. `results(i)` is sampled row i's top-K, or
+  * null where the t-test stopped before it. `serve` answers block rows, by
+  * index, with what was built. */
+final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
+                        val users: Int, val results: Array[TopKResult],
+                        val serve: Array[Int] => Array[TopKResult]) {
+  /** What [[RecOpt.report]] sums: `(name, fixedNanos, nanos, users)`. */
+  def cost: (String, Long, Long, Int) = (name, fixedNanos, nanos, users)
 }
 
 /** What RECOPT decided and what it cost to decide. */
@@ -70,14 +60,23 @@ final case class RecOptReport(
 /** RECOPT — the sampling-based MIPS serving optimizer (§4.1).
   *
   * Pipeline: (1) build every candidate index in full (construction is cheap
-  * relative to traversal — Fig. 2); (2) time blocked MM on a random user
-  * sample big enough to exhibit cache-blocking behaviour (≥ 4x L2);
-  * (3) time each index on the sample — per-user with t-test early stopping
-  * for point-query indexes, whole-sample for batch-only ones; (4) extrapolate
-  * each strategy's total runtime, pick the minimum, serve the remaining
-  * users with the winner and reuse the winner's sampled results.
+  * relative to traversal — Fig. 2); (2) on each block of users, time blocked
+  * MM on a random user sample big enough to exhibit cache-blocking behaviour
+  * (≥ 4x L2), each point-query index per user with t-test early stopping,
+  * and each user-indexed one (RECDEX) by building its user index over the
+  * whole block and walking the sample ([[timeBlock]]); (3) extrapolate each
+  * strategy's total runtime, pick the minimum ([[report]]); (4) keep the
+  * winner's sampled results and serve the rest of each block with what the
+  * winner built for it ([[reuseSample]]). Local [[serveAll]] runs this on
+  * one block, the whole user matrix; Spark on each user partition.
   */
 object RecOpt {
+
+  /** p-value below which the point-query t-test stops timing. */
+  val TTestAlpha = 0.05
+
+  /** Users a point-query index is timed on before the first t-test. */
+  val MinTTestUsers = 16
 
   /** Pure decision kernel: pick the strategy with the lowest estimated total
     * runtime (deterministic tie-break on name). Split out so decision logic
@@ -115,117 +114,98 @@ object RecOpt {
       (solver.name, prep, System.nanoTime() - t0)
     }
 
-  /** The sample-timing kernel. `candidates` starts with MM, timed on the
-    * whole block; its per-user mean is the t-test baseline. Each other
-    * candidate is timed on the same block — whole-block if batch-only
-    * (per-user t-testing would hide the cache effects it depends on, §4.1),
-    * else per user with one-sample t-test early stopping against MM's mean.
-    * Returns one timing per candidate, in order. The local estimate runs it
-    * on the driver's sample; the Spark path on each partition's share of it. */
-  def timeBlock(block: Matrix, k: Int, candidates: Seq[(String, PreparedMips)],
-                cfg: RecOptConfig): Seq[BlockTiming] = {
-    val n = block.rows
-    require(n > 0, "cannot time an empty block")
+  /** The sample-timing kernel, run once per block of users: the local
+    * `serveAll` on the whole user matrix, Spark on each partition.
+    * `candidates` starts with MM, timed with `queryBatch` on the `sampled`
+    * rows; its per-user mean is the t-test baseline. A [[UserIndexedMips]]
+    * candidate builds its user index over the whole block (the block's fixed
+    * cost), is timed walking the sampled rows and serves the rest from the
+    * same index. Every other candidate is timed per user on the sampled rows,
+    * stopping early once a one-sample t-test against MM's mean has p <
+    * [[TTestAlpha]]. Returns one timing per candidate, in order. */
+  def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
+                candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
+    val n = sampled.length
+    require(n > 0, "cannot time an empty sample")
     require(candidates.headOption.exists(_._1 == "MM"), "the first candidate must be MM")
-    def wholeBlock(name: String, prep: PreparedMips): BlockTiming = {
-      val t0 = System.nanoTime()
-      val res = prep.queryBatch(block, k)
-      new BlockTiming(name, System.nanoTime() - t0, n, res)
-    }
-    val mmTiming = wholeBlock("MM", candidates.head._2)
+    def batch(prep: PreparedMips)(rows: Array[Int]): Array[TopKResult] =
+      prep.queryBatch(block.selectRows(rows), k)
+    val mm = candidates.head._2
+    val sample = block.selectRows(sampled)
+    val t0 = System.nanoTime()
+    val mmResults = mm.queryBatch(sample, k)
+    val mmTiming = new BlockTiming("MM", 0L, System.nanoTime() - t0, n, mmResults, batch(mm))
     val mmPerUser = mmTiming.nanos.toDouble / n
     mmTiming +: candidates.tail.map {
-      case (name, prep) if prep.batchOnly => wholeBlock(name, prep)
+      case (name, prep: UserIndexedMips) =>
+        val b0 = System.nanoTime()
+        val index = prep.buildUserIndex(block)
+        val q0 = System.nanoTime()
+        val res = index.querySubset(sampled, k)
+        new BlockTiming(name, q0 - b0, System.nanoTime() - q0, n, res, index.querySubset(_, k))
       case (name, prep) =>
         val res = new Array[TopKResult](n)
-        val times = new scala.collection.mutable.ArrayBuffer[Double](n)
+        val times = new TTest.Running
+        var busy = 0L
         var i = 0
         var stopped = false
         while (i < n && !stopped) {
-          val u = block.row(i)
+          val u = block.row(sampled(i))
           val qs = System.nanoTime()
-          res(i) = prep.query(u, i, k)
-          times += (System.nanoTime() - qs).toDouble
+          res(i) = prep.query(u, sampled(i), k)
+          val t = System.nanoTime() - qs
+          busy += t
+          times.add(t.toDouble)
           i += 1
-          if (i >= cfg.minTTestUsers && i < n) {
-            val p = TTest.oneSamplePValue(times.toIndexedSeq, mmPerUser)
-            if (p < cfg.tTestAlpha) stopped = true
-          }
+          stopped = i >= MinTTestUsers && i < n && TTest.pValue(times.summary, mmPerUser) < TTestAlpha
         }
-        new BlockTiming(name, times.sum.toLong, times.length, res)
+        new BlockTiming(name, 0L, busy, i, res, batch(prep))
     }
   }
 
-  /** Decide from `(name, busy nanos, users)` sample timings, summed per
-    * candidate: estimate each of `builds` (name, build nanos) as build + busy
-    * per user x `totalUsers` and pick the minimum. The sample size is what
-    * MM timed; the waste is the losers' builds and busy time. */
-  def report(builds: Seq[(String, Long)], timings: Seq[(String, Long, Int)],
+  /** Decide from the blocks' `(name, fixed nanos, busy nanos, users)` costs
+    * ([[BlockTiming.cost]]), summed per candidate: estimate each of `builds`
+    * (name, build nanos) as build + fixed + busy per user x `totalUsers` and
+    * pick the minimum. The sample size is what MM timed; the waste is the
+    * losers' builds and busy time. */
+  def report(builds: Seq[(String, Long)], costs: Seq[(String, Long, Long, Int)],
              totalUsers: Int, startNanos: Long): RecOptReport = {
-    val busy = timings.groupMapReduce(_._1)(t => (t._2, t._3)) {
-      case ((n1, u1), (n2, u2)) => (n1 + n2, u1 + u2)
+    val summed = costs.groupMapReduce(_._1)(c => (c._2, c._3, c._4)) {
+      case ((f1, n1, u1), (f2, n2, u2)) => (f1 + f2, n1 + n2, u1 + u2)
     }
-    val estimates = builds.map { case (name, buildNanos) =>
-      val (nanos, users) = busy(name)
+    val estimates = builds.map { case (name, itemBuild) =>
+      val (fixed, nanos, users) = summed(name)
       val perUser = nanos.toDouble / users
-      StrategyEstimate(name, buildNanos, perUser, users, buildNanos + perUser * totalUsers)
+      StrategyEstimate(name, itemBuild + fixed, perUser, users, itemBuild + fixed + perUser * totalUsers)
     }
     val chosen = decide(estimates).name
     val wasted = estimates.filter(_.name != chosen)
       .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
-    RecOptReport(chosen, estimates, busy("MM")._2, totalUsers, wasted,
+    RecOptReport(chosen, estimates, summed("MM")._3, totalUsers, wasted,
       System.nanoTime() - startNanos)
   }
 
-  /** Estimation phase: build every candidate, time it on the sample, decide.
-    * `totalUsers` is the population the per-user costs extrapolate to (it
-    * may exceed `sampleUsers.rows`).
-    *
-    * When `fullUsers`/`sampleIdx` are supplied (the local batch path),
-    * user-indexed strategies (RECDEX) build their user index over the FULL
-    * population once (counted as construction cost, as in §4.2's C_I) and
-    * only the sampled walks are extrapolated; the built index is returned so
-    * serving reuses it. Every other strategy is timed by [[timeBlock]]. */
-  def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
-               indexSolvers: Seq[MipsSolver], totalUsers: Int,
-               cfg: RecOptConfig = RecOptConfig(),
-               fullUsers: Option[Matrix] = None,
-               sampleIdx: Option[Array[Int]] = None): EstimateOutcome = {
+  /** Build every candidate, time it on the `sampled` rows of `block` and
+    * decide, extrapolating to `totalUsers`. */
+  private def decideOn(block: Matrix, sampled: Array[Int], items: Matrix, k: Int,
+                       indexSolvers: Seq[MipsSolver], totalUsers: Int)
+      : (RecOptReport, Seq[BlockTiming]) = {
     val t0 = System.nanoTime()
     val candidates = buildCandidates(items, indexSolvers)
-    val userIndexed: Map[String, UserIndexedMips] = (fullUsers, sampleIdx) match {
-      case (Some(_), Some(_)) =>
-        candidates.collect { case (name, ui: UserIndexedMips, _) => name -> ui }.toMap
-      case _ => Map.empty
-    }
-    val blockTimed = timeBlock(sampleUsers, k,
-      candidates.collect { case (name, prep, _) if !userIndexed.contains(name) => name -> prep },
-      cfg).map(t => t.name -> t).toMap
-
-    var builtIdx = Map.empty[String, UserIndex]
-    val timed = candidates.map { case (name, _, buildNanos) =>
-      userIndexed.get(name) match {
-        case Some(ui) =>
-          // user-indexed strategy: build ONCE over the full population
-          // (construction cost C_I), extrapolate only the sampled walk
-          val uStart = System.nanoTime()
-          val userIndex = ui.buildUserIndex(fullUsers.get)
-          val userBuildNanos = System.nanoTime() - uStart
-          builtIdx += name -> userIndex
-          val qStart = System.nanoTime()
-          val res = userIndex.querySubset(sampleIdx.get, k)
-          (new BlockTiming(name, System.nanoTime() - qStart, res.length, res),
-            buildNanos + userBuildNanos)
-        case None => (blockTimed(name), buildNanos)
-      }
-    }
-
-    new EstimateOutcome(
-      report(timed.map { case (t, b) => t.name -> b },
-        timed.map { case (t, _) => (t.name, t.nanos, t.users) }, totalUsers, t0),
-      candidates.map { case (name, prep, _) => name -> prep }.toMap,
-      timed.map { case (t, _) => t.name -> t.results }.toMap, builtIdx)
+    val timings = timeBlock(block, sampled, k, candidates.map { case (name, prep, _) => name -> prep })
+    (report(candidates.map { case (name, _, build) => name -> build }, timings.map(_.cost),
+      totalUsers, t0), timings)
   }
+
+  /** The decision on one block whose every row is sampled: build every
+    * candidate, time it on `sampleUsers` ([[timeBlock]]) and extrapolate to
+    * `totalUsers`, which may exceed `sampleUsers.rows`. `cfg` is not read,
+    * since timing has no settings; it is kept so callers that pass one
+    * compile unchanged. */
+  def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
+               indexSolvers: Seq[MipsSolver], totalUsers: Int,
+               @unused cfg: RecOptConfig = RecOptConfig()): RecOptReport =
+    decideOn(sampleUsers, Array.range(0, sampleUsers.rows), items, k, indexSolvers, totalUsers)._1
 
   /** Serve exact top-K for every user, choosing between blocked MM and the
     * given index solvers. Returns per-user results (row-aligned with
@@ -234,22 +214,11 @@ object RecOpt {
                indexSolvers: Seq[MipsSolver],
                cfg: RecOptConfig = RecOptConfig()): (Array[TopKResult], RecOptReport) = {
     val t0 = System.nanoTime()
-    val n = users.rows
-    val sampleIdx = sampleIndices(n, users.cols, cfg)
-    val sampleUsers = users.selectRows(sampleIdx)
-
-    val est = estimate(sampleUsers, items, k, indexSolvers, n, cfg,
-      fullUsers = Some(users), sampleIdx = Some(sampleIdx))
-
-    // --- serve the remaining users with the winner, reusing sample results ---
-    val out = reuseSample(n, sampleIdx, est.sampleResults(est.chosen)) { remainingIdx =>
-      est.builtUserIndexes.get(est.chosen) match {
-        case Some(userIndex) => userIndex.querySubset(remainingIdx, k)
-        case None => est.prepared(est.chosen).queryBatch(users.selectRows(remainingIdx), k)
-      }
-    }
-
-    (out, est.report.copy(totalNanos = System.nanoTime() - t0))
+    val sampleIdx = sampleIndices(users.rows, users.cols, cfg)
+    val (report, timings) = decideOn(users, sampleIdx, items, k, indexSolvers, users.rows)
+    val winner = timings.find(_.name == report.chosen).get
+    val out = reuseSample(users.rows, sampleIdx, winner.results)(winner.serve)
+    (out, report.copy(totalNanos = System.nanoTime() - t0))
   }
 
   /** The top-K of `n` users given the winner's results on a sample:

@@ -24,9 +24,11 @@ import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
   *
   * RECOPT decides where the users live: the driver builds every candidate
   * once and broadcasts them, one Spark job decodes each partition once and
-  * times them on its share of a user sample, the driver extrapolates and
-  * decides, and the serve reuses the winner's sampled results and runs its
-  * already-built index on the rest of the kept blocks.
+  * runs RECOPT's per-block kernel on it ([[RecOpt.timeBlock]]: RECDEX builds
+  * its user index over the partition, every candidate is timed on the
+  * partition's share of a user sample), the driver extrapolates and decides,
+  * and the serve reuses the winner's sampled results and serves the rest of
+  * each kept block with what the winner built for it.
   *
   * Users and items are read, and results written, as Spark's internal rows
   * ([[org.apache.spark.sql.InternalRows]]), never as `Row`s.
@@ -98,13 +100,17 @@ object SparkMips {
     * candidate once on the driver (C_I) and broadcast them; then one pass
     * over the users decodes each partition into a block, picks the rows
     * `Dataset.sample(false, fraction, cfg.seed)` would pick (`fraction` is
-    * `cfg.sampleFraction`, raised to the 4x-L2 floor), times every candidate
-    * on them ([[RecOpt.timeBlock]]) and keeps the block and each candidate's
-    * sampled results in memory; the driver extrapolates the timings and
-    * decides. Serve phase, lazy: the returned DataFrame maps over the same
-    * blocks, emits the winner's sampled results as they are and runs the
-    * winner's already-built index on the rows it has no result for. The
-    * report's `totalNanos` covers the decision phase.
+    * `cfg.sampleFraction`, raised to the 4x-L2 floor) and runs
+    * [[RecOpt.timeBlock]] on them: RECDEX builds its user index over the
+    * whole block (a per-block cost added to its build) and walks the sampled
+    * rows, the other candidates are timed on the sampled rows. Each block is
+    * kept in memory with every candidate's sampled results and serve handle
+    * (RECDEX's handle holds the block's user index); the driver extrapolates
+    * the timings and decides. Serve phase, lazy: the returned DataFrame maps
+    * over the same blocks and serves each with [[RecOpt.reuseSample]] and the
+    * winner's handle, so RECDEX never clusters a block twice; a block with
+    * no sampled rows is served by the winner's `queryBatch`. The report's
+    * `totalNanos` covers the decision phase.
     *
     * The kept blocks and the candidates' broadcast live as long as the
     * returned DataFrame and are released by Spark's `ContextCleaner`. A
@@ -139,35 +145,35 @@ object SparkMips {
       val sampled = Array.range(0, ids.length).filter(_ => sampler.sample() != 0)
       val timings =
         if (sampled.isEmpty) Seq.empty
-        else RecOpt.timeBlock(block.selectRows(sampled), k, bCandidates.value, cfg)
+        else RecOpt.timeBlock(block, sampled, k, bCandidates.value)
       Iterator.single(new TimedBlock(ids, block, sampled, timings))
     }.persist(StorageLevel.MEMORY_ONLY)
-    val busy = (t: BlockTiming) => (t.name, t.nanos, t.users)
-    val sampleTimings = blocks.flatMap(_.timings.map(busy)).collect()
+    val sampleCosts = blocks.flatMap(_.timings.map(_.cost)).collect()
     // an empty sample (possible when the expected size is a few users) is
     // replaced by the first user, timed on the driver
-    val timings =
-      if (sampleTimings.nonEmpty) sampleTimings.toSeq
+    val costs =
+      if (sampleCosts.nonEmpty) sampleCosts.toSeq
       else RecOpt.timeBlock(blocks.filter(_.ids.nonEmpty).map(_.block.sliceRows(0, 1)).first(),
-        k, prepared, cfg).map(busy)
+        Array(0), k, prepared).map(_.cost)
     val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
-      timings, totalUsers, t0)
+      costs, totalUsers, t0)
 
-    // --- serve the same blocks: the winner's sampled results, its index for the rest ---
+    // --- serve the same blocks: the winner's sampled results, its handle for the rest ---
     val chosen = report.chosen
     val bItemIds = spark.sparkContext.broadcast(itemIds)
     val out = blocks.mapPartitions(_.flatMap { b =>
-      val winner = bCandidates.value.find(_._1 == chosen).get._2
-      val sampled = b.timings.find(_.name == chosen).fold(Array.empty[TopKResult])(_.results)
-      val results = RecOpt.reuseSample(b.ids.length, b.sampled, sampled)(rest =>
-        winner.queryBatch(b.block.selectRows(rest), k))
+      val results = b.timings.find(_.name == chosen) match {
+        case Some(t) => RecOpt.reuseSample(b.ids.length, b.sampled, t.results)(t.serve)
+        case None => bCandidates.value.find(_._1 == chosen).get._2.queryBatch(b.block, k)
+      }
       encode(b.ids, results, bItemIds.value)
     })
     (InternalRows.toDataFrame(spark, out, OutputSchema), report)
   }
 
   /** One partition of RECOPT's pass: its user ids and block, the block rows
-    * in the sample, and each candidate's timing on them. */
+    * in the sample, and each candidate's timing on them (none if no row is
+    * sampled, in which case the serve reads the block). */
   private final class TimedBlock(val ids: Array[Long], val block: Matrix,
                                  val sampled: Array[Int], val timings: Seq[BlockTiming])
 

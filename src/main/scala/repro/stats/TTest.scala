@@ -85,8 +85,13 @@ object TTest {
 
   /** Two-sided p-value of a one-sample t-test of `sample` against mean `mu0`.
     * Returns 1.0 when the sample is too small or degenerate to test. */
-  def oneSamplePValue(sample: IndexedSeq[Double], mu0: Double): Double = {
-    val Summary(n, mean, sd) = summarize(sample)
+  def oneSamplePValue(sample: IndexedSeq[Double], mu0: Double): Double =
+    pValue(summarize(sample), mu0)
+
+  /** Two-sided p-value of a one-sample t-test against mean `mu0`, from the
+    * sample's size, mean and standard deviation. */
+  def pValue(s: Summary, mu0: Double): Double = {
+    val Summary(n, mean, sd) = s
     if (n < 2) return 1.0
     if (sd < 1e-300) return if (mean == mu0) 1.0 else 0.0
     val t = (mean - mu0) / (sd / math.sqrt(n.toDouble))
@@ -94,6 +99,23 @@ object TTest {
   }
 
   final case class Summary(n: Int, mean: Double, stdDev: Double)
+
+  /** A [[Summary]] kept up to date one value at a time, in O(1) per value
+    * (Welford's running mean and sum of squared deviations). */
+  final class Running {
+    private var n = 0
+    private var mean = 0.0
+    private var m2 = 0.0
+
+    def add(x: Double): Unit = {
+      n += 1
+      val d = x - mean
+      mean += d / n
+      m2 += d * (x - mean)
+    }
+
+    def summary: Summary = Summary(n, mean, if (n < 2) 0.0 else math.sqrt(m2 / (n - 1)))
+  }
 
   def summarize(sample: IndexedSeq[Double]): Summary = {
     val n = sample.length

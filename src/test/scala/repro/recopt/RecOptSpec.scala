@@ -3,11 +3,12 @@ package repro.recopt
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult, UserIndex,
+  UserIndexedMips}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
-import repro.recdex.Recdex
+import repro.recdex.{Recdex, RecdexPrepared}
 
 class RecOptSpec extends AnyFunSuite with PropSupport {
 
@@ -112,7 +113,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val lemp = out.estimates.find(_.name == "LEMP").get
     assert(math.abs(lemp.estTotalNanos - (lemp.buildNanos + lemp.perUserNanos * 200)) <
       1e-6 * lemp.estTotalNanos + 1)
-    assert(out.prepared.contains("MM") && out.prepared.contains("LEMP"))
+    assert(out.estimates.map(_.name) == Seq("MM", "LEMP"))
   }
 
   /** A synthetic point-query index whose per-user time is deterministic and
@@ -136,14 +137,13 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val sample = users.sliceRows(0, 200)
     val out = RecOpt.estimate(sample, items, 3,
       Seq(new SlowFakeSolver(2000000L)), // 2 ms per query, ~1000x MM's per-user cost
-      totalUsers = 400,
-      RecOptConfig(minTTestUsers = 8, tTestAlpha = 0.05))
+      totalUsers = 400)
     val fake = out.estimates.find(_.name == "SLOWFAKE").get
     assert(fake.usersTimed < 200, s"t-test did not stop early: timed ${fake.usersTimed}")
     assert(out.chosen == "MM")
   }
 
-  test("batch-only indexes are timed on the full sample (no early stop)") {
+  test("user-indexed strategies are timed on the full sample (no early stop)") {
     val (users, items) = ModelZoo.tiny(300, 80, 8, seed = 79)
     val sample = users.sliceRows(0, 120)
     val out = RecOpt.estimate(sample, items, 3,
@@ -156,21 +156,39 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       "(C_I accounting) when the full user matrix is supplied") {
     val (users, items) = ModelZoo.tiny(400, 100, 8, seed = 97, concentrated = true)
     val sampleIdx = Array(5, 50, 120, 200, 333, 390)
-    val sample = users.selectRows(sampleIdx)
-    val out = RecOpt.estimate(sample, items, 3,
-      Seq(new Recdex(numClusters = 3, blockSize = 8)), totalUsers = 400,
-      RecOptConfig(), fullUsers = Some(users), sampleIdx = Some(sampleIdx))
-    val rd = out.estimates.find(_.name == "RECDEX").get
+    val recdex = new CountingUserIndexed(new RecdexPrepared(items, numClusters = 3, blockSize = 8,
+      kmeansSeed = 42, kmeansMaxIter = 20))
+    val mm = new BruteForceMM().prepare(items)
+    val Seq(_, rd) = RecOpt.timeBlock(users, sampleIdx, 3, Seq("MM" -> mm, "RECDEX" -> recdex))
     // only the sampled walks are extrapolated; construction sits in buildNanos
-    assert(rd.usersTimed == sampleIdx.length)
-    assert(rd.buildNanos > 0)
-    assert(out.builtUserIndexes.contains("RECDEX"))
-    // the sample results must be exact and row-aligned with sampleIdx
+    assert(rd.users == sampleIdx.length)
+    assert(rd.fixedNanos > 0)
+    val report = RecOpt.report(Seq("MM" -> 0L, "RECDEX" -> 7L),
+      Seq(("MM", 0L, 10L, sampleIdx.length), rd.cost), 400, System.nanoTime())
+    assert(report.estimates.find(_.name == "RECDEX").get.buildNanos == 7L + rd.fixedNanos)
+    // one user index, over all 400 users, serves the sample and the rest
+    assert(recdex.builtOver == Seq(400))
     val expect = SolverTestSupport.bruteForce(users, items, 3)
-    val res = out.sampleResults("RECDEX")
+    val rest = (0 until 400).filterNot(sampleIdx.contains).toArray
+    SolverTestSupport.assertSame(rd.serve(rest), rest.map(expect), 1e-9, "rest")
+    assert(recdex.builtOver == Seq(400))
+    // the sample results must be exact and row-aligned with sampleIdx
+    val res = rd.results
     sampleIdx.indices.foreach { i =>
       SolverTestSupport.assertSame(Array(res(i)), Array(expect(sampleIdx(i))), 1e-9,
         s"sample row $i")
+    }
+  }
+
+  /** Records the row count of every user matrix it builds a user index over. */
+  private final class CountingUserIndexed(inner: UserIndexedMips)
+      extends UserIndexedMips {
+    var builtOver = Seq.empty[Int]
+    override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
+      inner.query(user, userId, k)
+    override def buildUserIndex(users: Matrix): UserIndex = {
+      builtOver :+= users.rows
+      inner.buildUserIndex(users)
     }
   }
 

@@ -8,7 +8,8 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.{array, col, lit}
 import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec}
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndex,
+  UserIndexedMips}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -141,18 +142,28 @@ class SparkMipsSpec extends SparkSpec {
     override def name: String = inner.name
     override def prepare(items: Matrix): PreparedMips = {
       prepares += 1
-      new SparkMipsSpec.CountingPrepared(name, inner.prepare(items))
+      inner.prepare(items) match {
+        case ui: UserIndexedMips => new SparkMipsSpec.CountingUserIndexed(name, ui)
+        case prep => new SparkMipsSpec.CountingPrepared(name, prep)
+      }
     }
   }
 
+  /** Users of [[dominantItemModel]]. */
+  private val DominantUsers = 2400
+
   /** One dominant item aligned with every user: LEMP's first bucket holds
     * the answer and its bound prunes the rest, while MM scores all 3000
-    * items, so an index wins RECOPT. Every user's top-1 is item 0. */
+    * items, so an index wins RECOPT. Every user's top-1 is item 0. The
+    * users are many because MM's estimate grows with them and LEMP's build
+    * does not: with 600, LEMP's build (run once per call, so never
+    * JIT-compiled) took about as long as MM's whole estimate and MM won
+    * some runs. */
   private def dominantItemModel: (Matrix, Matrix) = {
     val f = 16
     val dir = Array.tabulate(f)(d => if (d % 2 == 0) 1.0 else 0.5)
-    val noise = Matrix.randn(600, f, seed = 5)
-    val u = Matrix.tabulate(600, f)((r, d) => 3 * dir(d) + 0.3 * noise(r, d))
+    val noise = Matrix.randn(DominantUsers, f, seed = 5)
+    val u = Matrix.tabulate(DominantUsers, f)((r, d) => 3 * dir(d) + 0.3 * noise(r, d))
     val small = Matrix.randn(3000, f, seed = 6)
     (u, Matrix.tabulate(3000, f)((r, d) => if (r == 0) 100 * dir(d) else 0.2 * small(r, d)))
   }
@@ -173,7 +184,7 @@ class SparkMipsSpec extends SparkSpec {
     assert(report.chosen != "MM", s"estimates ${report.estimates}")
     assert(lemp.prepares == 1 && recdex.prepares == 1,
       s"prepares: LEMP ${lemp.prepares}, RECDEX ${recdex.prepares}")
-    assert(rows.length == 600 && rows.forall(_.getLong(1) == 0L))
+    assert(rows.length == DominantUsers && rows.forall(_.getLong(1) == 0L))
   }
 
   test("topKAllWithRecOpt serves its sampled users from the timing pass") {
@@ -187,10 +198,57 @@ class SparkMipsSpec extends SparkSpec {
       RecOptConfig(sampleFraction = 1.0))
     val rows = df.collect()
     assert(report.chosen != "MM", s"estimates ${report.estimates}")
-    assert(rows.length == 600 && rows.forall(_.getLong(1) == 0L))
-    assert(report.sampleSize == 600)
+    assert(rows.length == DominantUsers && rows.forall(_.getLong(1) == 0L))
+    assert(report.sampleSize == DominantUsers)
     assert(SparkMipsSpec.queried.get(report.chosen).get() == report.sampleSize,
       s"users served by ${report.chosen}")
+  }
+
+  /** Value of a per-strategy counter, 0 if never incremented. */
+  private def counted(counter: java.util.Map[String, AtomicLong], name: String): Long =
+    Option(counter.get(name)).fold(0L)(_.get())
+
+  test("Spark RECOPT builds RECDEX's user index once per partition, in the timing pass") {
+    val (u, i) = dominantItemModel
+    val usersDf = SparkMips.toDf(spark, u, "user_id", 4)
+    val partitions = usersDf.rdd.mapPartitions(it => Iterator(it.nonEmpty)).collect().count(identity)
+    SparkMipsSpec.userIndexBuilds.clear()
+    SparkMipsSpec.batchCalls.clear()
+    // floor = 1 user at l2CacheBytes = 1, so half of the users are sampled
+    val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
+      SparkMips.toDf(spark, i, "item_id", 1), 1,
+      Seq(new CountingSolver(new LempIndex(bucketSize = 16)), new CountingSolver(new Recdex(3, 8))),
+      RecOptConfig(sampleFraction = 0.5, l2CacheBytes = 1))
+    assert(report.sampleSize > 0 && report.sampleSize < DominantUsers)
+    assert(counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == partitions)
+    val rows = df.collect()
+    assert(counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == partitions, s"chosen ${report.chosen}")
+    assert(counted(SparkMipsSpec.batchCalls, "RECDEX") == 0, s"chosen ${report.chosen}")
+    val expect = SolverTestSupport.bruteForce(u, i, 1)
+    assert(rows.length == DominantUsers)
+    rows.foreach { r =>
+      val e = expect(r.getLong(0).toInt)
+      assert(r.getLong(1) == e.ids(0) && r.getInt(2) == 1, s"user ${r.getLong(0)}")
+      assert(math.abs(r.getDouble(3) - e.scores(0)) < 1e-9, s"user ${r.getLong(0)}")
+    }
+  }
+
+  test("on one partition at fraction 1, Spark RECOPT times what local serveAll times") {
+    val (u, i) = ModelZoo.tiny(300, 80, 8, seed = 139, concentrated = true)
+    val cfg = RecOptConfig(sampleFraction = 1.0)
+    SparkMipsSpec.userIndexBuilds.clear()
+    val (_, local) = RecOpt.serveAll(u, i, 3, Seq(new CountingSolver(new Recdex(3, 8))), cfg)
+    val localBuilds = counted(SparkMipsSpec.userIndexBuilds, "RECDEX")
+    SparkMipsSpec.userIndexBuilds.clear()
+    val (_, onSpark) = SparkMips.topKAllWithRecOpt(spark, SparkMips.toDf(spark, u, "user_id", 1),
+      SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new CountingSolver(new Recdex(3, 8))), cfg)
+    assert(onSpark.estimates.map(_.name) == Seq("MM", "RECDEX"))
+    assert(local.estimates.map(_.name) == Seq("MM", "RECDEX"))
+    assert(onSpark.estimates.map(_.usersTimed) == Seq(300, 300))
+    assert(local.estimates.map(_.usersTimed) == Seq(300, 300))
+    assert(onSpark.sampleSize == local.sampleSize)
+    // both build one user index over all 300 users
+    assert(localBuilds == 1 && counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == 1)
   }
 
   test("the RECOPT sample picks the users Dataset.sample picks") {
@@ -347,38 +405,61 @@ class SparkMipsSpec extends SparkSpec {
 }
 
 object SparkMipsSpec {
-  /** Users passed to `query`/`queryBatch`, per strategy name. Global, since
-    * the executors run copies of the broadcast strategies. */
+  /** Users passed to `query`/`queryBatch`/`querySubset`, per strategy name.
+    * Global, like the counters below, since the executors run copies of the
+    * broadcast strategies. */
   val queried = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
+  /** `queryBatch` calls, per strategy name. */
+  val batchCalls = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
+  /** `buildUserIndex` calls, per strategy name. */
+  val userIndexBuilds = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
 
-  final class CountingPrepared(name: String, inner: PreparedMips) extends PreparedMips {
-    private def count(users: Int): Unit =
-      queried.computeIfAbsent(name, _ => new AtomicLong()).addAndGet(users)
+  private def add(counter: java.util.Map[String, AtomicLong], name: String, n: Long): Unit =
+    counter.computeIfAbsent(name, _ => new AtomicLong()).addAndGet(n)
+
+  class CountingPrepared(name: String, inner: PreparedMips) extends PreparedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
-      count(1)
+      add(queried, name, 1)
       inner.query(user, userId, k)
     }
     override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
-      count(users.rows)
+      add(queried, name, users.rows)
+      add(batchCalls, name, 1)
       inner.queryBatch(users, k)
     }
-    override def batchOnly: Boolean = inner.batchOnly
+  }
+
+  /** [[CountingPrepared]] that also counts user index builds and the users
+    * each built index serves. */
+  final class CountingUserIndexed(name: String, inner: UserIndexedMips)
+      extends CountingPrepared(name, inner) with UserIndexedMips {
+    override def buildUserIndex(users: Matrix): UserIndex = {
+      add(userIndexBuilds, name, 1)
+      val index = inner.buildUserIndex(users)
+      new UserIndex {
+        override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
+          add(queried, name, rows.length)
+          index.querySubset(rows, k)
+        }
+      }
+    }
   }
 
   /** Ids (first features) of the users [[RecordingPrepared]] was timed on. */
   val timedUsers: java.util.Set[Long] = java.util.concurrent.ConcurrentHashMap.newKeySet[Long]()
 
-  /** A batch-only strategy that records the first feature of every user it
-    * serves and sleeps per call, so RECOPT times it on the whole sample and
-    * never picks it. */
-  final class RecordingPrepared(inner: PreparedMips) extends PreparedMips {
+  /** A user-indexed strategy that records the first feature of every user
+    * its index serves and sleeps per call, so RECOPT times it on the whole
+    * sample and never picks it. */
+  final class RecordingPrepared(inner: PreparedMips) extends UserIndexedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
       inner.query(user, userId, k)
-    override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
-      (0 until users.rows).foreach(r => timedUsers.add(users(r, 0).toLong))
-      Thread.sleep(100)
-      inner.queryBatch(users, k)
+    override def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
+      override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
+        rows.foreach(r => timedUsers.add(users(r, 0).toLong))
+        Thread.sleep(100)
+        inner.queryBatch(users.selectRows(rows), k)
+      }
     }
-    override def batchOnly: Boolean = true
   }
 }

@@ -91,6 +91,30 @@ class TTestSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  checkProp("property: the running p-value matches oneSamplePValue on every prefix",
+      minTests = 60) {
+    // timing-like streams: a positive level with a relative spread, tested
+    // against a mean near the level
+    val stream = for {
+      level <- Gen.chooseNum(1.0, 1e5)
+      spread <- Gen.chooseNum(0.01, 1.0)
+      offset <- Gen.chooseNum(-0.5, 0.5)
+      seed <- Gen.long
+      n <- Gen.choose(1, 120)
+    } yield {
+      val rng = new scala.util.Random(seed)
+      (IndexedSeq.fill(n)(level * (1 + spread * rng.nextGaussian())), level * (1 + offset * spread))
+    }
+    Prop.forAll(stream) { case (xs, mu0) =>
+      val running = new TTest.Running
+      xs.indices.forall { i =>
+        running.add(xs(i))
+        math.abs(TTest.pValue(running.summary, mu0) -
+          TTest.oneSamplePValue(xs.take(i + 1), mu0)) <= 1e-12
+      }
+    }
+  }
+
   checkProp("property: t CDF is monotone in t", minTests = 30) {
     Prop.forAll(Gen.chooseNum(-5.0, 5.0), Gen.chooseNum(-5.0, 5.0),
       Gen.choose(1, 100)) { (t1, t2, df) =>
