@@ -3,8 +3,7 @@ package repro.core
 /** A prepared (built) MIPS index or execution strategy over a fixed item set.
   *
   * The two entrypoints mirror the paper's query settings:
-  *   - `query` serves one user (the point setting; what RECOPT times per-user
-  *     for its t-test early stop);
+  *   - `query` serves one user (the point setting);
   *   - `queryBatch` serves a block of users at once (the batch setting; the
   *     blocked strategies — brute-force MM and RECDEX's shared head — only
   *     reach full hardware efficiency here).
@@ -39,8 +38,9 @@ trait MipsSolver extends Serializable {
   * items (RECDEX: k-means over users + per-cluster sorted lists). RECOPT
   * (`RecOpt.timeBlock`, locally and on each Spark partition) builds the user
   * index once over the whole block as a per-block construction cost, times
-  * only the walk on the block's sample and serves the rest of the block from
-  * the same index — the paper's C_I/Q_I accounting. */
+  * only the walk, in chunks of the block's sample, and serves the rest of the
+  * block from the same index — the paper's C_I/Q_I accounting. Binding a
+  * candidate to the block is the one place RECOPT looks at this trait. */
 trait UserIndexedMips extends PreparedMips {
   def buildUserIndex(users: Matrix): UserIndex
 }

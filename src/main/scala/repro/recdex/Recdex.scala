@@ -30,11 +30,12 @@ import repro.core._
   * rank-irrelevant); the walk therefore compares CBound·‖u‖ against
   * min(heap).
   *
-  * RECDEX's index is built over the query users, so per-user t-test sampling
-  * would mis-measure it (§4.1). RECOPT (`RecOpt.timeBlock`, locally and on
-  * each Spark partition) builds the user index once over the whole block
-  * (construction cost C_I, via [[UserIndexedMips]]), times the walk on the
-  * block's sample and serves the rest of the block from the same index.
+  * RECDEX's index is built over the query users, so timing it on the sample
+  * alone would mis-measure it (§4.1). RECOPT (`RecOpt.timeBlock`, locally
+  * and on each Spark partition) builds the user index once over the whole
+  * block (construction cost C_I, via [[UserIndexedMips]]), times the walk
+  * in chunks of the block's sample with the same t-test stop as every other
+  * index, and serves the rest of the block from the same index.
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
                    val kmeansSeed: Long = 42, val kmeansMaxIter: Int = 20)
@@ -70,27 +71,21 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     val centroids = km.centroids
     val nC = centroids.rows
 
-    // group user rows by cluster
-    val members = Array.fill(nC)(new scala.collection.mutable.ArrayBuffer[Int])
-    var r = 0
-    while (r < users.rows) { members(km.assignments(r)) += r; r += 1 }
-
     // θ_b per cluster = max user-centroid angle
+    val cluster = km.assignments
     val userNorms = users.rowNorms
     val centroidNorms = centroids.rowNorms
     val thetaB = new Array[Double](nC)
-    var j = 0
-    while (j < nC) {
-      var maxTheta = 0.0
-      members(j).foreach { u =>
-        val d = users.rowDot(u, centroids.row(j))
-        val denom = userNorms(u) * centroidNorms(j)
-        val cosv = if (denom > 0) math.max(-1.0, math.min(1.0, d / denom)) else 1.0
-        val th = math.acos(cosv)
-        if (th > maxTheta) maxTheta = th
-      }
-      thetaB(j) = maxTheta
-      j += 1
+    val populated = new Array[Boolean](nC)
+    var r = 0
+    while (r < users.rows) {
+      val c = cluster(r)
+      val d = users.rowDot(r, centroids.row(c))
+      val denom = userNorms(r) * centroidNorms(c)
+      val cosv = if (denom > 0) math.max(-1.0, math.min(1.0, d / denom)) else 1.0
+      thetaB(c) = math.max(thetaB(c), math.acos(cosv))
+      populated(c) = true
+      r += 1
     }
 
     // θ_ic for every (cluster, item) via one GEMM: centroids x items^T
@@ -101,9 +96,9 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     val clusterBounds = new Array[Array[Double]](nC) // aligned with the sorted order
     val clusterItems = new Array[Matrix](nC)
     val clusterHeads = new Array[Array[Array[Double]]](nC) // first B of L_c, dimension-major
-    j = 0
+    var j = 0
     while (j < nC) {
-      if (members(j).nonEmpty) {
+      if (populated(j)) {
         val thB = thetaB(j)
         val cNorm = centroidNorms(j)
         val bounds = new Array[Double](n)
@@ -125,15 +120,16 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       j += 1
     }
 
-    new RecdexUserIndex(users, userNorms, members.map(_.toArray), clusterOrder,
+    new RecdexUserIndex(users, userNorms, cluster, clusterOrder,
       clusterBounds, clusterItems, clusterHeads, blockSize)
   }
 
-  /** The built per-user-batch index (Algorithm 1's L plus user grouping). */
+  /** The built per-user-batch index (Algorithm 1's L plus user grouping):
+    * `cluster(u)` is user row u's cluster. */
   final class RecdexUserIndex(
       users: Matrix,
       userNorms: Array[Double],
-      members: Array[Array[Int]],
+      cluster: Array[Int],
       clusterOrder: Array[Array[Int]],
       clusterBounds: Array[Array[Double]],
       clusterItems: Array[Matrix],
@@ -143,85 +139,82 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
 
     /** Exact top-K for every indexed user, row-aligned with the build matrix. */
     def queryAll(k: Int): Array[TopKResult] =
-      queryImpl(null, k, shareBlocked = blockSize > 0, null)
+      queryImpl(Array.range(0, users.rows), k, shareBlocked = blockSize > 0, null)
 
-    override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
-      val all = queryImpl(rows, k, shareBlocked = blockSize > 0, null)
-      rows.map(all)
-    }
+    override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
+      queryImpl(rows, k, shareBlocked = blockSize > 0, null)
 
     /** Lesion hook (Fig. 8): query with/without the §5.4 blocked head,
       * reusing this built index so only walk time is measured. */
     def queryAllLesion(k: Int, shareBlocked: Boolean): Array[TopKResult] =
-      queryImpl(null, k, shareBlocked, null)
+      queryImpl(Array.range(0, users.rows), k, shareBlocked, null)
 
     /** Lesion hook that also returns the mean items visited per user (w-bar
       * in Eq. 4), counting both the blocked head and the walked tail. */
     def queryAllCounting(k: Int, shareBlocked: Boolean): (Array[TopKResult], Double) = {
       val visited = new Array[Long](users.rows)
-      val res = queryImpl(null, k, shareBlocked, visited)
+      val res = queryImpl(Array.range(0, users.rows), k, shareBlocked, visited)
       (res, visited.sum.toDouble / math.max(1, users.rows))
     }
 
-    /** Core walk. If `restrict` is non-null, only those user rows are served
-      * (others stay null in the row-aligned output). */
-    private[recdex] def queryImpl(restrict: Array[Int], k: Int, shareBlocked: Boolean,
+    /** Core walk over the user rows `rows`, grouped by cluster in
+      * O(|rows|): result i, and `visited(i)` if `visited` is non-null,
+      * belong to `rows(i)`. */
+    private[recdex] def queryImpl(rows: Array[Int], k: Int, shareBlocked: Boolean,
                                   visited: Array[Long]): Array[TopKResult] = {
       val n = items.rows
-      val out = new Array[TopKResult](users.rows)
-      val wanted: java.util.BitSet =
-        if (restrict == null) null
-        else {
-          val bs = new java.util.BitSet(users.rows)
-          restrict.foreach(bs.set)
-          bs
-        }
+      val nC = clusterOrder.length
+      // counting sort: positions into `rows`, cluster by cluster, each
+      // cluster's from(j) until from(j + 1)
+      val from = new Array[Int](nC + 1)
+      rows.foreach(r => from(cluster(r) + 1) += 1)
+      for (c <- 0 until nC) from(c + 1) += from(c)
+      val next = from.clone()
+      val byCluster = new Array[Int](rows.length)
+      for (i <- rows.indices) { byCluster(next(cluster(rows(i)))) = i; next(cluster(rows(i))) += 1 }
 
+      val out = new Array[TopKResult](rows.length)
       var j = 0
-      while (j < members.length) {
-        val clusterUsers0 = members(j)
-        if (clusterUsers0 != null && clusterUsers0.nonEmpty && clusterOrder(j) != null) {
-          val clusterUsers =
-            if (wanted == null) clusterUsers0 else clusterUsers0.filter(wanted.get)
-          if (clusterUsers.nonEmpty) {
-            val order = clusterOrder(j)
-            val bounds = clusterBounds(j)
-            val sortedItems = clusterItems(j)
-            // Starting the walk at B < k offers the same items as a k-item
-            // head: the heap is not full before its k-th offer.
-            val b = if (shareBlocked) math.min(blockSize, n) else 0
-            val headScores = new Array[Double](b)
+      while (j < nC) {
+        if (from(j) < from(j + 1)) {
+          val order = clusterOrder(j)
+          val bounds = clusterBounds(j)
+          val sortedItems = clusterItems(j)
+          // Starting the walk at B < k offers the same items as a k-item
+          // head: the heap is not full before its k-th offer.
+          val b = if (shareBlocked) math.min(blockSize, n) else 0
+          val headScores = new Array[Double](b)
 
-            var ui = 0
-            while (ui < clusterUsers.length) {
-              val u = clusterUsers(ui)
-              val h = new TopKHeap(k)
+          var q = from(j)
+          while (q < from(j + 1)) {
+            val pos = byCluster(q)
+            val u = rows(pos)
+            val h = new TopKHeap(k)
 
-              // --- §5.4 blocked head: score the first B items, no bound checks ---
-              if (b > 0) {
-                Gemm.dotsInto(users.data, u * users.cols, clusterHeads(j), headScores)
-                var p = 0
-                while (p < b) { h.offer(headScores(p), order(p)); p += 1 }
-              }
-
-              // --- walk of the list remainder with CBound termination ---
-              val uNorm = userNorms(u)
-              val uRow = users.row(u)
-              var p = b
-              var stop = false
-              while (p < n && !stop) {
-                // CBound is on the normalized rating; compare against min(h)/‖u‖.
-                if (h.isFull && bounds(p) * uNorm < h.minScore) {
-                  stop = true
-                } else {
-                  h.offer(sortedItems.rowDot(p, uRow), order(p))
-                  p += 1
-                }
-              }
-              if (visited != null) visited(u) = p.toLong
-              out(u) = h.result()
-              ui += 1
+            // --- §5.4 blocked head: score the first B items, no bound checks ---
+            if (b > 0) {
+              Gemm.dotsInto(users.data, u * users.cols, clusterHeads(j), headScores)
+              var p = 0
+              while (p < b) { h.offer(headScores(p), order(p)); p += 1 }
             }
+
+            // --- walk of the list remainder with CBound termination ---
+            val uNorm = userNorms(u)
+            val uRow = users.row(u)
+            var p = b
+            var stop = false
+            while (p < n && !stop) {
+              // CBound is on the normalized rating; compare against min(h)/‖u‖.
+              if (h.isFull && bounds(p) * uNorm < h.minScore) {
+                stop = true
+              } else {
+                h.offer(sortedItems.rowDot(p, uRow), order(p))
+                p += 1
+              }
+            }
+            if (visited != null) visited(pos) = p.toLong
+            out(pos) = h.result()
+            q += 1
           }
         }
         j += 1

@@ -60,11 +60,11 @@ final case class RecOptReport(
 /** RECOPT — the sampling-based MIPS serving optimizer (§4.1).
   *
   * Pipeline: (1) build every candidate index in full (construction is cheap
-  * relative to traversal — Fig. 2); (2) on each block of users, time blocked
-  * MM on a random user sample big enough to exhibit cache-blocking behaviour
-  * (≥ 4x L2), each point-query index per user with t-test early stopping,
-  * and each user-indexed one (RECDEX) by building its user index over the
-  * whole block and walking the sample ([[timeBlock]]); (3) extrapolate each
+  * relative to traversal — Fig. 2); (2) on each block of users, bind every
+  * candidate to the block (RECDEX builds its user index over the whole
+  * block) and time it on a random user sample big enough to exhibit
+  * cache-blocking behaviour (≥ 4x L2), in chunks, stopping an index early
+  * once a t-test separates it from MM ([[timeBlock]]); (3) extrapolate each
   * strategy's total runtime, pick the minimum ([[report]]); (4) keep the
   * winner's sampled results and serve the rest of each block with what the
   * winner built for it ([[reuseSample]]). Local [[serveAll]] runs this on
@@ -72,11 +72,16 @@ final case class RecOptReport(
   */
 object RecOpt {
 
-  /** p-value below which the point-query t-test stops timing. */
+  /** p-value below which the t-test stops timing an index. */
   val TTestAlpha = 0.05
 
-  /** Users a point-query index is timed on before the first t-test. */
+  /** Users an index is timed on before the first t-test. */
   val MinTTestUsers = 16
+
+  /** Sampled users each candidate serves per timed call. Of 16, 32 and 64,
+    * 16 had the lowest Table 2 overhead (a stopped index is timed on at
+    * least two chunks), and the three served the benchmark workloads alike. */
+  val ChunkUsers = 16
 
   /** Pure decision kernel: pick the strategy with the lowest estimated total
     * runtime (deterministic tie-break on name). Split out so decision logic
@@ -96,12 +101,14 @@ object RecOpt {
     math.min(totalUsers, math.max(math.ceil(totalUsers * cfg.sampleFraction).toInt,
       minSampleForCache(f, cfg.l2CacheBytes)))
 
-  /** Pick the user sample: [[sampleSize]] users drawn with `cfg.seed`.
-    * Returns sorted row indices. */
-  def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] = {
-    val rng = new scala.util.Random(cfg.seed)
-    rng.shuffle((0 until totalUsers).toVector).take(sampleSize(totalUsers, f, cfg)).sorted.toArray
-  }
+  /** The row picker of every block: `count` of `rows` rows, drawn by a
+    * shuffle seeded with `seed`. Returns sorted row indices. */
+  def sampleRows(rows: Int, count: Int, seed: Long): Array[Int] =
+    new scala.util.Random(seed).shuffle((0 until rows).toVector).take(count).sorted.toArray
+
+  /** The local user sample: [[sampleSize]] rows picked with `cfg.seed`. */
+  def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] =
+    sampleRows(totalUsers, sampleSize(totalUsers, f, cfg), cfg.seed)
 
   /** Index construction (C_I) for every candidate: `(name, prepared,
     * buildNanos)` for MM first, whose "build" only wraps the item matrix and
@@ -116,50 +123,50 @@ object RecOpt {
 
   /** The sample-timing kernel, run once per block of users: the local
     * `serveAll` on the whole user matrix, Spark on each partition.
-    * `candidates` starts with MM, timed with `queryBatch` on the `sampled`
-    * rows; its per-user mean is the t-test baseline. A [[UserIndexedMips]]
-    * candidate builds its user index over the whole block (the block's fixed
-    * cost), is timed walking the sampled rows and serves the rest from the
-    * same index. Every other candidate is timed per user on the sampled rows,
-    * stopping early once a one-sample t-test against MM's mean has p <
-    * [[TTestAlpha]]. Returns one timing per candidate, in order. */
+    * Every candidate is first bound to the block: a [[UserIndexedMips]]
+    * builds its user index over the whole block (the block's fixed cost) and
+    * serves rows from it, any other serves rows with `queryBatch`. Then each
+    * candidate serves the `sampled` rows in order, [[ChunkUsers]] per timed
+    * call. MM, which `candidates` must start with, serves them all; its
+    * per-user mean is the baseline. Every other candidate stops once, after
+    * at least [[MinTTestUsers]] users and two chunks (the t-test needs two
+    * values), a one-sample t-test of its per-user cost per chunk against
+    * MM's mean has p < [[TTestAlpha]].
+    * Returns one timing per candidate, in order. */
   def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
                 candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
     val n = sampled.length
     require(n > 0, "cannot time an empty sample")
     require(candidates.headOption.exists(_._1 == "MM"), "the first candidate must be MM")
-    def batch(prep: PreparedMips)(rows: Array[Int]): Array[TopKResult] =
-      prep.queryBatch(block.selectRows(rows), k)
-    val mm = candidates.head._2
-    val sample = block.selectRows(sampled)
-    val t0 = System.nanoTime()
-    val mmResults = mm.queryBatch(sample, k)
-    val mmTiming = new BlockTiming("MM", 0L, System.nanoTime() - t0, n, mmResults, batch(mm))
-    val mmPerUser = mmTiming.nanos.toDouble / n
-    mmTiming +: candidates.tail.map {
-      case (name, prep: UserIndexedMips) =>
-        val b0 = System.nanoTime()
-        val index = prep.buildUserIndex(block)
-        val q0 = System.nanoTime()
-        val res = index.querySubset(sampled, k)
-        new BlockTiming(name, q0 - b0, System.nanoTime() - q0, n, res, index.querySubset(_, k))
-      case (name, prep) =>
-        val res = new Array[TopKResult](n)
-        val times = new TTest.Running
-        var busy = 0L
-        var i = 0
-        var stopped = false
-        while (i < n && !stopped) {
-          val u = block.row(sampled(i))
-          val qs = System.nanoTime()
-          res(i) = prep.query(u, sampled(i), k)
-          val t = System.nanoTime() - qs
-          busy += t
-          times.add(t.toDouble)
-          i += 1
-          stopped = i >= MinTTestUsers && i < n && TTest.pValue(times.summary, mmPerUser) < TTestAlpha
-        }
-        new BlockTiming(name, 0L, busy, i, res, batch(prep))
+    def time(name: String, prep: PreparedMips, mmPerUser: Option[Double]): BlockTiming = {
+      val (fixed, serve): (Long, Array[Int] => Array[TopKResult]) = prep match {
+        case ui: UserIndexedMips =>
+          val b0 = System.nanoTime()
+          val index = ui.buildUserIndex(block)
+          (System.nanoTime() - b0, index.querySubset(_, k))
+        case _ => (0L, rows => prep.queryBatch(block.selectRows(rows), k))
+      }
+      val results = new Array[TopKResult](n)
+      val perUser = new TTest.Running
+      var busy = 0L
+      var done = 0
+      def separated = done >= MinTTestUsers &&
+        mmPerUser.exists(TTest.pValue(perUser.summary, _) < TTestAlpha)
+      while (done < n && !separated) {
+        val rows = sampled.slice(done, math.min(n, done + ChunkUsers))
+        val t0 = System.nanoTime()
+        val res = serve(rows)
+        val t = System.nanoTime() - t0
+        System.arraycopy(res, 0, results, done, rows.length)
+        busy += t
+        perUser.add(t.toDouble / rows.length)
+        done += rows.length
+      }
+      new BlockTiming(name, fixed, busy, done, results, serve)
+    }
+    val mm = time("MM", candidates.head._2, None)
+    mm +: candidates.tail.map { case (name, prep) =>
+      time(name, prep, Some(mm.nanos.toDouble / n))
     }
   }
 

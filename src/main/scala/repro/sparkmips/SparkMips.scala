@@ -5,7 +5,6 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.types._
 import org.apache.spark.storage.StorageLevel
-import org.apache.spark.util.random.BernoulliCellSampler
 import repro.core.{Matrix, MipsSolver, TopKResult}
 import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
 
@@ -25,10 +24,10 @@ import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
   * RECOPT decides where the users live: the driver builds every candidate
   * once and broadcasts them, one Spark job decodes each partition once and
   * runs RECOPT's per-block kernel on it ([[RecOpt.timeBlock]]: RECDEX builds
-  * its user index over the partition, every candidate is timed on the
-  * partition's share of a user sample), the driver extrapolates and decides,
-  * and the serve reuses the winner's sampled results and serves the rest of
-  * each kept block with what the winner built for it.
+  * its user index over the partition, every candidate is timed in chunks on
+  * the partition's share of a user sample), the driver extrapolates and
+  * decides, and the serve reuses the winner's sampled results and serves the
+  * rest of each kept block with what the winner built for it.
   *
   * Users and items are read, and results written, as Spark's internal rows
   * ([[org.apache.spark.sql.InternalRows]]), never as `Row`s.
@@ -98,18 +97,19 @@ object SparkMips {
     *
     * Decision phase, eager: collect the items once; build MM and every
     * candidate once on the driver (C_I) and broadcast them; then one pass
-    * over the users decodes each partition into a block, picks the rows
-    * `Dataset.sample(false, fraction, cfg.seed)` would pick (`fraction` is
-    * `cfg.sampleFraction`, raised to the 4x-L2 floor) and runs
-    * [[RecOpt.timeBlock]] on them: RECDEX builds its user index over the
-    * whole block (a per-block cost added to its build) and walks the sampled
-    * rows, the other candidates are timed on the sampled rows. Each block is
-    * kept in memory with every candidate's sampled results and serve handle
-    * (RECDEX's handle holds the block's user index); the driver extrapolates
-    * the timings and decides. Serve phase, lazy: the returned DataFrame maps
-    * over the same blocks and serves each with [[RecOpt.reuseSample]] and the
-    * winner's handle, so RECDEX never clusters a block twice; a block with
-    * no sampled rows is served by the winner's `queryBatch`. The report's
+    * over the users decodes each partition into a block, picks its share of
+    * the [[RecOpt.sampleSize]] users with [[RecOpt.sampleRows]] (partition p
+    * of `n_p` rows picks ceil(sampleSize × n_p / |U|) rows, seeded with
+    * `cfg.seed + p`, so every non-empty block has a sampled row and one
+    * partition picks what local `serveAll` picks) and runs
+    * [[RecOpt.timeBlock]] on them: every candidate is bound to the whole
+    * block (RECDEX builds its user index over it, a per-block cost added to
+    * its build) and timed in chunks on the sampled rows. Each block is kept
+    * in memory with every candidate's sampled results and serve handle; the
+    * driver extrapolates the timings and decides. Serve phase, lazy: the
+    * returned DataFrame maps over the same blocks, drops every handle but
+    * the winner's and serves each block with [[RecOpt.reuseSample]] and the
+    * winner's handle, so RECDEX never clusters a block twice. The report's
     * `totalNanos` covers the decision phase.
     *
     * The kept blocks and the candidates' broadcast live as long as the
@@ -131,51 +131,42 @@ object SparkMips {
     val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
     val f = itemMatrix.cols
     val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
-    val prepared = candidates.map { case (name, prep, _) => name -> prep }
 
     // --- one pass: decode every partition once, time the candidates on its sampled rows ---
-    val bCandidates = spark.sparkContext.broadcast(prepared)
-    val fraction = RecOpt.sampleSize(totalUsers, f, cfg).toDouble / totalUsers
+    val bCandidates = spark.sparkContext.broadcast(candidates.map { case (name, prep, _) => name -> prep })
+    val sampleSize = RecOpt.sampleSize(totalUsers, f, cfg).toLong
     val seed = cfg.seed
     val blocks = userRows.mapPartitionsWithIndex { (p, it) =>
       val (ids, block) = decode(it, "user", f)
-      // the draws Dataset.sample makes: one per row, seeded by seed + partition
-      val sampler = new BernoulliCellSampler[InternalRow](0.0, fraction)
-      sampler.setSeed(seed + p)
-      val sampled = Array.range(0, ids.length).filter(_ => sampler.sample() != 0)
+      val sampled = RecOpt.sampleRows(ids.length,
+        ((sampleSize * ids.length + totalUsers - 1) / totalUsers).toInt, seed + p)
       val timings =
-        if (sampled.isEmpty) Seq.empty
-        else RecOpt.timeBlock(block, sampled, k, bCandidates.value)
-      Iterator.single(new TimedBlock(ids, block, sampled, timings))
+        if (ids.isEmpty) Seq.empty else RecOpt.timeBlock(block, sampled, k, bCandidates.value)
+      Iterator.single(new TimedBlock(ids, sampled, timings))
     }.persist(StorageLevel.MEMORY_ONLY)
-    val sampleCosts = blocks.flatMap(_.timings.map(_.cost)).collect()
-    // an empty sample (possible when the expected size is a few users) is
-    // replaced by the first user, timed on the driver
-    val costs =
-      if (sampleCosts.nonEmpty) sampleCosts.toSeq
-      else RecOpt.timeBlock(blocks.filter(_.ids.nonEmpty).map(_.block.sliceRows(0, 1)).first(),
-        Array(0), k, prepared).map(_.cost)
     val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
-      costs, totalUsers, t0)
+      blocks.flatMap(_.timings.map(_.cost)).collect().toSeq, totalUsers, t0)
 
     // --- serve the same blocks: the winner's sampled results, its handle for the rest ---
     val chosen = report.chosen
     val bItemIds = spark.sparkContext.broadcast(itemIds)
     val out = blocks.mapPartitions(_.flatMap { b =>
-      val results = b.timings.find(_.name == chosen) match {
-        case Some(t) => RecOpt.reuseSample(b.ids.length, b.sampled, t.results)(t.serve)
-        case None => bCandidates.value.find(_._1 == chosen).get._2.queryBatch(b.block, k)
+      // the kept block drops the losers' handles (and RECDEX's user index
+      // with them); idempotent, so a second action serves the same rows
+      b.timings = b.timings.filter(_.name == chosen)
+      b.timings.iterator.flatMap { t =>
+        encode(b.ids, RecOpt.reuseSample(b.ids.length, b.sampled, t.results)(t.serve), bItemIds.value)
       }
-      encode(b.ids, results, bItemIds.value)
     })
     (InternalRows.toDataFrame(spark, out, OutputSchema), report)
   }
 
-  /** One partition of RECOPT's pass: its user ids and block, the block rows
-    * in the sample, and each candidate's timing on them (none if no row is
-    * sampled, in which case the serve reads the block). */
-  private final class TimedBlock(val ids: Array[Long], val block: Matrix,
-                                 val sampled: Array[Int], val timings: Seq[BlockTiming])
+  /** One partition of RECOPT's pass: its user ids, the block rows in the
+    * sample, and each candidate's timing on them (none for an empty block;
+    * only the winner's once served). The timings' serve handles hold the
+    * block. */
+  private final class TimedBlock(val ids: Array[Long], val sampled: Array[Int],
+                                 var timings: Seq[BlockTiming])
 
   private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
 

@@ -1,6 +1,8 @@
 package repro.recdex
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import repro.core.Matrix
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -9,7 +11,7 @@ import repro.mips.SolverTestSupport
   * a built user index must serve any subset exactly and agree with the
   * plain batch path.
   */
-class RecdexUserIndexSpec extends AnyFunSuite {
+class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
 
   private def built(nu: Int, ni: Int, f: Int, b: Int, conc: Boolean, seed: Long) = {
     val (users, items) = ModelZoo.tiny(nu, ni, f, seed, concentrated = conc)
@@ -33,6 +35,27 @@ class RecdexUserIndexSpec extends AnyFunSuite {
       rows.indices.foreach { i =>
         assert(sub(i).ids.toSeq == all(rows(i)).ids.toSeq, s"row ${rows(i)}")
         assert(sub(i).scores.toSeq == all(rows(i)).scores.toSeq)
+      }
+    }
+  }
+
+  checkProp("property: querySubset equals queryAll at random subsets, in ids and score bits",
+      minTests = 40) {
+    val indexes = for (conc <- Seq(false, true); b <- Seq(0, 16))
+      yield built(150, 90, 10, b, conc, seed = 45)._3
+    val alls = indexes.map(_.queryAll(4))
+    val gen = for {
+      which <- Gen.choose(0, indexes.length - 1)
+      size <- Gen.choose(0, 150)
+      seed <- Gen.long
+    } yield (which, new scala.util.Random(seed).shuffle((0 until 150).toVector).take(size).toArray)
+    Prop.forAll(gen) { case (which, rows) =>
+      val sub = indexes(which).querySubset(rows, 4)
+      sub.length == rows.length && rows.indices.forall { i =>
+        val all = alls(which)(rows(i))
+        sub(i).ids.toSeq == all.ids.toSeq &&
+          sub(i).scores.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+            all.scores.map(java.lang.Double.doubleToRawLongBits).toSeq
       }
     }
   }

@@ -69,6 +69,15 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(idx.length == 10)
   }
 
+  test("sampleIndices is sampleRows of sampleSize rows with the config's seed") {
+    val cfg = RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1, seed = 5)
+    assert(RecOpt.sampleIndices(700, 8, cfg).toSeq == RecOpt.sampleRows(700, 70, 5).toSeq)
+    val rows = RecOpt.sampleRows(700, 70, 5)
+    assert(rows.toSeq == rows.toSeq.sorted && rows.distinct.length == 70)
+    assert(RecOpt.sampleRows(700, 70, 6).toSeq != rows.toSeq)
+    assert(RecOpt.sampleRows(3, 3, 1).toSeq == Seq(0, 1, 2))
+  }
+
   test("sampleIndices deterministic in the seed") {
     val cfg = RecOptConfig(seed = 42)
     val a = RecOpt.sampleIndices(1000, 16, cfg)
@@ -140,16 +149,44 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       totalUsers = 400)
     val fake = out.estimates.find(_.name == "SLOWFAKE").get
     assert(fake.usersTimed < 200, s"t-test did not stop early: timed ${fake.usersTimed}")
+    // the test runs after whole chunks, from the second on
+    assert(fake.usersTimed % RecOpt.ChunkUsers == 0 && fake.usersTimed >= 2 * RecOpt.ChunkUsers)
     assert(out.chosen == "MM")
   }
 
-  test("user-indexed strategies are timed on the full sample (no early stop)") {
-    val (users, items) = ModelZoo.tiny(300, 80, 8, seed = 79)
-    val sample = users.sliceRows(0, 120)
-    val out = RecOpt.estimate(sample, items, 3,
-      Seq(new Recdex(numClusters = 3, blockSize = 8)), totalUsers = 300, RecOptConfig())
-    val rd = out.estimates.find(_.name == "RECDEX").get
-    assert(rd.usersTimed == 120)
+  /** A user-indexed strategy that spins `delayNanos` per user it serves and
+    * records the rows of every call. */
+  private final class SlowUserIndexed(items: Matrix, delayNanos: Long) extends UserIndexedMips {
+    var calls = Seq.empty[Seq[Int]]
+    private val mm = new BruteForceMM().prepare(items)
+    override def query(user: Array[Double], userId: Int, k: Int): TopKResult = mm.query(user, userId, k)
+    override def buildUserIndex(users: Matrix): UserIndex = (rows: Array[Int], k: Int) => {
+      calls :+= rows.toSeq
+      val end = System.nanoTime() + delayNanos * rows.length
+      while (System.nanoTime() < end) {}
+      mm.queryBatch(users.selectRows(rows), k)
+    }
+  }
+
+  test("a clearly slower user-indexed strategy stops early and MM is chosen") {
+    val (users, items) = ModelZoo.tiny(400, 50, 8, seed = 79)
+    val sampleIdx = Array.range(0, 400).filter(_ % 2 == 1)
+    val slow = new SlowUserIndexed(items, 1000000L) // 1 ms per user, ~1000x MM's
+    val Seq(mm, rd) = RecOpt.timeBlock(users, sampleIdx, 3,
+      Seq("MM" -> new BruteForceMM().prepare(items), "SLOW" -> slow))
+    assert(mm.users == 200)
+    assert(rd.users < 200, s"t-test did not stop early: timed ${rd.users}")
+    assert(rd.users >= 2 * RecOpt.ChunkUsers)
+    // one call per chunk, in sample order, over the users it was timed on
+    assert(slow.calls.forall(_.length == RecOpt.ChunkUsers))
+    assert(slow.calls.flatten == sampleIdx.take(rd.users).toSeq)
+    val report = RecOpt.report(Seq("MM" -> 0L, "SLOW" -> 0L), Seq(mm.cost, rd.cost), 400,
+      System.nanoTime())
+    assert(report.chosen == "MM")
+    // the results it was timed on are kept, the rest are left to the winner
+    val expect = SolverTestSupport.bruteForce(users, items, 3)
+    SolverTestSupport.assertSame(rd.results.take(rd.users), sampleIdx.take(rd.users).map(expect), 1e-9)
+    assert(rd.results.drop(rd.users).forall(_ == null))
   }
 
   test("user-indexed strategies build once over the full population " +

@@ -244,34 +244,58 @@ class SparkMipsSpec extends SparkSpec {
       SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new CountingSolver(new Recdex(3, 8))), cfg)
     assert(onSpark.estimates.map(_.name) == Seq("MM", "RECDEX"))
     assert(local.estimates.map(_.name) == Seq("MM", "RECDEX"))
-    assert(onSpark.estimates.map(_.usersTimed) == Seq(300, 300))
-    assert(local.estimates.map(_.usersTimed) == Seq(300, 300))
+    // MM is timed on every user; RECDEX's count depends on the t-test
+    assert(onSpark.estimates.head.usersTimed == 300 && local.estimates.head.usersTimed == 300)
     assert(onSpark.sampleSize == local.sampleSize)
     // both build one user index over all 300 users
     assert(localBuilds == 1 && counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == 1)
   }
 
-  test("the RECOPT sample picks the users Dataset.sample picks") {
-    // user r's first feature is r, so the recording strategy sees the ids
-    val rng = new scala.util.Random(131)
-    val u = Matrix.tabulate(300, 4)((r, d) => if (d == 0) r.toDouble else rng.nextGaussian())
-    val usersDf = SparkMips.toDf(spark, u, "user_id", 4)
+  /** Users whose first feature is their id, so [[SparkMipsSpec.RecordingPrepared]]
+    * sees the ids. */
+  private def idFirstUsers(n: Int, seed: Long): Matrix = {
+    val rng = new scala.util.Random(seed)
+    Matrix.tabulate(n, 4)((r, d) => if (d == 0) r.toDouble else rng.nextGaussian())
+  }
+
+  private val recording = new MipsSolver {
+    override def name: String = "RECORDING"
+    override def prepare(items: Matrix): PreparedMips =
+      new SparkMipsSpec.RecordingPrepared(new BruteForceMM().prepare(items))
+  }
+
+  /** Ids of the users [[SparkMipsSpec.RecordingPrepared]] was timed on, in
+    * call order. */
+  private def recorded: Seq[Long] = SparkMipsSpec.timedCalls.asScala.toSeq.flatten
+
+  test("on one partition, Spark RECOPT times MM on exactly sampleIndices' rows") {
+    val usersDf = SparkMips.toDf(spark, idFirstUsers(300, 131), "user_id", 1)
     val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
-    val recording = new MipsSolver {
-      override def name: String = "RECORDING"
-      override def prepare(items: Matrix): PreparedMips =
-        new SparkMipsSpec.RecordingPrepared(new BruteForceMM().prepare(items))
-    }
     for (fraction <- Seq(0.05, 0.3, 0.8); seed <- Seq(3L, 17L, 29L)) {
       // floor = 1 user at l2CacheBytes = 1, so the fraction sets the sample
       val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1, seed = seed)
-      SparkMipsSpec.timedUsers.clear()
+      SparkMipsSpec.timedCalls.clear()
       val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq(recording), cfg)
-      val sampled = usersDf.sample(withReplacement = false,
-        RecOpt.sampleSize(300, 4, cfg).toDouble / 300, seed).collect().map(_.getLong(0))
+      val local = RecOpt.sampleIndices(300, 4, cfg).map(_.toLong)
+      val Seq(mm, rec) = report.estimates
       assert(report.chosen == "MM")
-      assert(report.sampleSize == sampled.length, s"fraction $fraction, seed $seed")
-      assert(SparkMipsSpec.timedUsers.asScala.toSet == sampled.toSet, s"fraction $fraction, seed $seed")
+      assert(mm.usersTimed == local.length && report.sampleSize == local.length,
+        s"fraction $fraction, seed $seed")
+      // every candidate walks the same sampled rows; the sleeping one stops early
+      assert(rec.usersTimed == recorded.length && recorded.nonEmpty)
+      assert(recorded == local.take(recorded.length).toSeq, s"fraction $fraction, seed $seed")
+    }
+  }
+
+  test("on 4 partitions, the RECOPT sample is each partition's share, rounded up") {
+    val usersDf = SparkMips.toDf(spark, idFirstUsers(300, 131), "user_id", 4)
+    val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
+    val sizes = usersDf.rdd.mapPartitions(it => Iterator(it.size.toLong)).collect()
+    for (fraction <- Seq(0.0, 0.05, 0.3, 1.0)) {
+      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1, seed = 3)
+      val s = RecOpt.sampleSize(300, 4, cfg).toLong
+      val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq.empty, cfg)
+      assert(report.sampleSize == sizes.map(n => (s * n + 299) / 300).sum, s"fraction $fraction")
     }
   }
 
@@ -288,23 +312,47 @@ class SparkMipsSpec extends SparkSpec {
     assert(report.totalNanos > 0)
   }
 
-  test("topKAllWithRecOpt times one user on the driver when the sample is empty") {
-    val (u, i) = ModelZoo.tiny(20, 30, 4, seed = 127)
-    val usersDf = SparkMips.toDf(spark, u, "user_id", 2)
-    // floor = 1 user at l2CacheBytes = 1, so the sample fraction is 1/20
-    val seed = (1L to 100L).find(s =>
-      usersDf.select("features").sample(withReplacement = false, 1.0 / 20, s).isEmpty).get
+  test("at fraction 0, every non-empty partition times a user and RECOPT serves exactly") {
+    // five partitions of four users; the filter empties the middle two
+    val u = idFirstUsers(20, 127)
+    val i = Matrix.randn(30, 4, seed = 128)
+    val usersDf = SparkMips.toDf(spark, u, "user_id", 5)
+      .where(col("user_id") < 8 || col("user_id") >= 16)
+    val partitionOf = usersDf.rdd.mapPartitionsWithIndex((p, it) => it.map(_.getLong(0) -> p))
+      .collect().toMap
+    assert(partitionOf.values.toSet == Set(0, 1, 4))
+    SparkMipsSpec.timedCalls.clear()
+    // floor = 1 user at l2CacheBytes = 1: one user of 12, rounded up to one
+    // per non-empty partition
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
-      SparkMips.toDf(spark, i, "item_id", 1), 2, Seq(new LempIndex(bucketSize = 8)),
-      RecOptConfig(sampleFraction = 0.0, l2CacheBytes = 1, seed = seed))
-    assert(report.sampleSize == 1)
-    assert(report.estimates.forall(_.usersTimed == 1))
+      SparkMips.toDf(spark, i, "item_id", 1), 2, Seq(recording),
+      RecOptConfig(sampleFraction = 0.0, l2CacheBytes = 1))
+    assert(report.sampleSize == 3 && report.estimates.forall(_.usersTimed == 3))
+    assert(recorded.map(partitionOf).sorted == Seq(0, 1, 4))
     val expect = SolverTestSupport.bruteForce(u, i, 2)
     val rows = df.collect()
-    assert(rows.length == 40)
+    assert(rows.length == 24 && rows.map(_.getLong(0)).toSet == partitionOf.keySet)
     rows.foreach { r =>
-      assert(r.getLong(1) == expect(r.getLong(0).toInt).ids(r.getInt(2) - 1))
+      val e = expect(r.getLong(0).toInt)
+      assert(r.getLong(1) == e.ids(r.getInt(2) - 1), s"user ${r.getLong(0)}")
+      assert(math.abs(r.getDouble(3) - e.scores(r.getInt(2) - 1)) < 1e-9, s"user ${r.getLong(0)}")
     }
+  }
+
+  test("a second action, and one after the kept blocks are dropped, serve the same rows") {
+    val (u, i) = ModelZoo.tiny(200, 60, 8, seed = 149, concentrated = true)
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val (df, _) = SparkMips.topKAllWithRecOpt(spark, SparkMips.toDf(spark, u, "user_id", 4),
+      SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)),
+      RecOptConfig(sampleFraction = 0.2, l2CacheBytes = 1))
+    def served = df.collect().map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted.toSeq
+    val first = served
+    assert(first.length == 600)
+    assert(served == first)
+    spark.sparkContext.getPersistentRDDs.foreach { case (id, rdd) =>
+      if (!before.contains(id)) rdd.unpersist(blocking = true)
+    }
+    assert(served == first)
   }
 
   private def itemsDf: DataFrame = SparkMips.toDf(spark, Matrix.randn(10, 3, seed = 2), "item_id", 1)
@@ -445,18 +493,19 @@ object SparkMipsSpec {
     }
   }
 
-  /** Ids (first features) of the users [[RecordingPrepared]] was timed on. */
-  val timedUsers: java.util.Set[Long] = java.util.concurrent.ConcurrentHashMap.newKeySet[Long]()
+  /** Ids (first features) of the users each `querySubset` call of
+    * [[RecordingPrepared]] served, in call order. */
+  val timedCalls = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Long]]()
 
   /** A user-indexed strategy that records the first feature of every user
-    * its index serves and sleeps per call, so RECOPT times it on the whole
-    * sample and never picks it. */
+    * its index serves and sleeps per call, so RECOPT never picks it and the
+    * t-test may stop it after two chunks. */
   final class RecordingPrepared(inner: PreparedMips) extends UserIndexedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
       inner.query(user, userId, k)
     override def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
       override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
-        rows.foreach(r => timedUsers.add(users(r, 0).toLong))
+        timedCalls.add(rows.toSeq.map(r => users(r, 0).toLong))
         Thread.sleep(100)
         inner.queryBatch(users.selectRows(rows), k)
       }
