@@ -31,9 +31,9 @@ final case class StrategyEstimate(
 
 /** One strategy's work on one block: `fixedNanos` built its per-block index
   * (RECDEX's user index; 0 for the others), and `nanos` is its busy time on
-  * the first `users` sampled rows. `results(i)` is sampled row i's top-K, or
-  * null where the t-test stopped before it. `serve` answers block rows, by
-  * index, with what was built. */
+  * the first `users` sampled rows, both on [[RecOpt.timeBlock]]'s clock.
+  * `results(i)` is sampled row i's top-K, or null where the t-test stopped
+  * before it. `serve` answers block rows, by index, with what was built. */
 final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
                         val users: Int, val results: Array[TopKResult],
                         val serve: Array[Int] => Array[TopKResult]) {
@@ -83,6 +83,13 @@ object RecOpt {
     * least two chunks), and the three served the benchmark workloads alike. */
   val ChunkUsers = 16
 
+  private val threads = java.lang.management.ManagementFactory.getThreadMXBean
+
+  /** The clock [[timeBlock]] reads, the calling thread's CPU time. On the wall
+    * clock, one wait of the thread (preempted, or stopped for GC) in a chunk
+    * widens the t-test's spread and keeps a losing index timed for longer. */
+  private def busyNanos(): Long = threads.getCurrentThreadCpuTime
+
   /** Pure decision kernel: pick the strategy with the lowest estimated total
     * runtime (deterministic tie-break on name). Split out so decision logic
     * is testable without a wall clock. */
@@ -127,11 +134,12 @@ object RecOpt {
     * builds its user index over the whole block (the block's fixed cost) and
     * serves rows from it, any other serves rows with `queryBatch`. Then each
     * candidate serves the `sampled` rows in order, [[ChunkUsers]] per timed
-    * call. MM, which `candidates` must start with, serves them all; its
-    * per-user mean is the baseline. Every other candidate stops once, after
-    * at least [[MinTTestUsers]] users and two chunks (the t-test needs two
-    * values), a one-sample t-test of its per-user cost per chunk against
-    * MM's mean has p < [[TTestAlpha]].
+    * call, timed like the user-index build on the thread's CPU time
+    * ([[busyNanos]]). MM, which `candidates` must start with, serves them
+    * all; its per-user mean is the baseline. Every other candidate stops
+    * once, after at least [[MinTTestUsers]] users and two chunks (the t-test
+    * needs two values), a one-sample t-test of its per-user cost per chunk
+    * against MM's mean has p < [[TTestAlpha]].
     * Returns one timing per candidate, in order. */
   def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
                 candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
@@ -141,9 +149,9 @@ object RecOpt {
     def time(name: String, prep: PreparedMips, mmPerUser: Option[Double]): BlockTiming = {
       val (fixed, serve): (Long, Array[Int] => Array[TopKResult]) = prep match {
         case ui: UserIndexedMips =>
-          val b0 = System.nanoTime()
+          val b0 = busyNanos()
           val index = ui.buildUserIndex(block)
-          (System.nanoTime() - b0, index.querySubset(_, k))
+          (busyNanos() - b0, index.querySubset(_, k))
         case _ => (0L, rows => prep.queryBatch(block.selectRows(rows), k))
       }
       val results = new Array[TopKResult](n)
@@ -154,9 +162,9 @@ object RecOpt {
         mmPerUser.exists(TTest.pValue(perUser.summary, _) < TTestAlpha)
       while (done < n && !separated) {
         val rows = sampled.slice(done, math.min(n, done + ChunkUsers))
-        val t0 = System.nanoTime()
+        val t0 = busyNanos()
         val res = serve(rows)
-        val t = System.nanoTime() - t0
+        val t = busyNanos() - t0
         System.arraycopy(res, 0, results, done, rows.length)
         busy += t
         perUser.add(t.toDouble / rows.length)

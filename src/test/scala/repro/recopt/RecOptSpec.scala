@@ -189,6 +189,23 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(rd.results.drop(rd.users).forall(_ == null))
   }
 
+  test("timeBlock counts a candidate's CPU time, not the time its thread waits") {
+    val (users, items) = ModelZoo.tiny(400, 50, 8, seed = 83)
+    val sampleIdx = Array.range(0, 4 * RecOpt.ChunkUsers)
+    val mm = new BruteForceMM().prepare(items)
+    // serves like MM, but its thread sleeps 10 ms in every timed call
+    val sleepy = new UserIndexedMips {
+      override def query(user: Array[Double], userId: Int, k: Int): TopKResult = mm.query(user, userId, k)
+      override def buildUserIndex(block: Matrix): UserIndex = (rows: Array[Int], k: Int) => {
+        Thread.sleep(10)
+        mm.queryBatch(block.selectRows(rows), k)
+      }
+    }
+    val Seq(_, sl) = RecOpt.timeBlock(users, sampleIdx, 3, Seq("MM" -> mm, "SLEEPY" -> sleepy))
+    val calls = sl.users / RecOpt.ChunkUsers
+    assert(calls >= 2 && sl.nanos < calls * 10000000L / 2, s"${sl.nanos} ns busy over $calls calls")
+  }
+
   test("user-indexed strategies build once over the full population " +
       "(C_I accounting) when the full user matrix is supplied") {
     val (users, items) = ModelZoo.tiny(400, 100, 8, seed = 97, concentrated = true)

@@ -498,15 +498,17 @@ object SparkMipsSpec {
   val timedCalls = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Long]]()
 
   /** A user-indexed strategy that records the first feature of every user
-    * its index serves and sleeps per call, so RECOPT never picks it and the
-    * t-test may stop it after two chunks. */
+    * its index serves and spins 100 ms per call (RECOPT times busy CPU time,
+    * which a sleep would not add to), so RECOPT never picks it and the t-test
+    * may stop it after two chunks. */
   final class RecordingPrepared(inner: PreparedMips) extends UserIndexedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
       inner.query(user, userId, k)
     override def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
       override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
         timedCalls.add(rows.toSeq.map(r => users(r, 0).toLong))
-        Thread.sleep(100)
+        val end = System.nanoTime() + 100000000L
+        while (System.nanoTime() < end) {}
         inner.queryBatch(users.selectRows(rows), k)
       }
     }
