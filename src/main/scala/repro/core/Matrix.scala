@@ -35,7 +35,7 @@ final class Matrix(val rows: Int, val cols: Int, val data: Array[Double]) extend
     *
     * The sum starts at 0.0 and adds `this(r, c) * v(c)` for c = 0, 1, …,
     * cols − 1, one rounding per multiply and per add. The item-major loops
-    * ([[Gemm.dotsInto]], RECDEX's blocked head) run the same operations in the
+    * ([[Gemm.dotsInto]], RECDEX's list walk) run the same operations in the
     * same order, so their scores equal this one bit for bit and ties between
     * strategies resolve identically.
     */
@@ -46,16 +46,17 @@ final class Matrix(val rows: Int, val cols: Int, val data: Array[Double]) extend
     s
   }
 
-  /** Dimension-major copy of rows `[0, until)`: `out(c)(r) == this(r, c)`.
-    * One array per column, so a loop over rows reads each column at the
-    * index it writes, which the JIT vectorizes. */
-  def columns(until: Int = rows): Array[Array[Double]] = {
-    val out = Array.ofDim[Double](cols, until)
-    var r = 0
+  /** Dimension-major copy of rows `[from, until)`:
+    * `out(c)(r - from) == this(r, c)`. One array per column, indexed from 0,
+    * so a loop over rows reads each column at the index it writes, which the
+    * JIT vectorizes. */
+  def columns(from: Int = 0, until: Int = rows): Array[Array[Double]] = {
+    val out = Array.ofDim[Double](cols, until - from)
+    var r = from
     while (r < until) {
       val off = r * cols
       var c = 0
-      while (c < cols) { out(c)(r) = data(off + c); c += 1 }
+      while (c < cols) { out(c)(r - from) = data(off + c); c += 1 }
       r += 1
     }
     out

@@ -11,24 +11,35 @@ import repro.core._
   *     the worst user-centroid angular distortion.
   *  3. Per cluster, compute for every item the Eq. 3 upper bound
   *     r*_ci = ‖i‖·cos(θ_ic − θ_b) if θ_b < θ_ic else ‖i‖, sort items by it
-  *     descending, and materialize the sorted item vectors contiguously —
-  *     the cluster's index list L_c (sequential walks are cache-friendly,
-  *     mirroring LEMP's bucket layout).
+  *     descending, and store the sorted list L_c as consecutive
+  *     dimension-major chunks (one array per coordinate, indexed from 0): the
+  *     first chunk is the §5.4 head of B items, every later one holds
+  *     [[RecdexPrepared.ChunkItems]] items (the last one fewer). A walk reads
+  *     each chunk sequentially, as LEMP reads its buckets.
   *
-  * Querying (Algorithm 1, QueryIndex + §5.4 blocked head):
-  *  - For each cluster, the first B items of L_c are kept dimension-major
-  *    and scored for each of the cluster's users with the vectorized
-  *    [[Gemm.dotsInto]], without bound checks (the "hardware-efficient
-  *    execution" lesioned in Fig. 8); the scores go to the heap in list
-  *    order.
-  *  - Each user then walks the remainder of L_c with a bounded heap,
-  *    terminating as soon as CBound(c, i, θ_b) < min(heap) — exactness is
-  *    Theorem 1: the walk visits items in monotonically decreasing upper
-  *    bound, and the bound dominates u·i/‖u‖ for every user in the cluster.
+  * Querying (Algorithm 1, QueryIndex + §5.4 blocked head), one loop over the
+  * chunks of the user's cluster with a bounded heap:
+  *  - Blocked (the serving path): the head chunk is scored with no bound
+  *    check (the "hardware-efficient execution" lesioned in Fig. 8); every
+  *    later chunk is checked once, at its first item, and if it survives it
+  *    is scored whole with the vectorized [[Gemm.dotsInto]] and offered to
+  *    the heap in list order.
+  *  - Unblocked (the paper's plain RECDEX, the Fig. 8 lesion): the same loop
+  *    checks CBound before every item and scores one item per step from the
+  *    chunk's columns.
+  *  - The walk stops at the first check where CBound(c, i, θ_b) < min(heap).
+  *    Exactness is Theorem 1: bounds do not increase along L_c, the bound
+  *    dominates u·i/‖u‖ for every user in the cluster, and min(heap) does
+  *    not decrease, so a check at a chunk start stops no earlier than a
+  *    check at every item would. Items scored past that point are only
+  *    offered to the heap, whose result under (score desc, id asc) does not
+  *    depend on what else was offered or in which order. Both modes add
+  *    each score in `Matrix.rowDot` order, so their scores are the same
+  *    bits as brute force's.
   *
   * Note the bound is on the NORMALIZED rating r* = u·i/‖u‖ (user norm is
-  * rank-irrelevant); the walk therefore compares CBound·‖u‖ against
-  * min(heap).
+  * rank-irrelevant); the walk therefore compares CBound·‖u‖, widened by a
+  * rounding slack ([[RecdexPrepared.boundSlack]]), against min(heap).
   *
   * RECDEX's index is built over the query users, so timing it on the sample
   * alone would mis-measure it (§4.1). RECOPT (`RecOpt.timeBlock`, locally
@@ -51,6 +62,12 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     extends UserIndexedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
+  /** Rounding slack of the CBound check per unit of user norm. */
+  private val slackPerUserNorm: Double =
+    RecdexPrepared.boundSlack(items.cols) * itemNorms.foldLeft(0.0)(math.max)
+  /** Where each chunk of a cluster list starts, and `items.rows` last: the
+    * same for every cluster. */
+  private val chunkStarts: Array[Int] = RecdexPrepared.chunkStarts(items.rows, blockSize)
 
   /** Point queries degrade to a one-user cluster (θ_b = 0): an exact walk of
     * the per-user sorted list, i.e. Koenigstein's bound without relaxation.
@@ -91,11 +108,10 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     // θ_ic for every (cluster, item) via one GEMM: centroids x items^T
     val ci = Gemm.abt(centroids, items) // nC x n
 
-    // per-cluster Eq. 3 bounds, sort order, and materialized sorted items
+    // per-cluster Eq. 3 bounds, sort order, and the chunked list L_c
     val clusterOrder = new Array[Array[Int]](nC)
     val clusterBounds = new Array[Array[Double]](nC) // aligned with the sorted order
-    val clusterItems = new Array[Matrix](nC)
-    val clusterHeads = new Array[Array[Array[Double]]](nC) // first B of L_c, dimension-major
+    val clusterChunks = new Array[Array[Array[Array[Double]]]](nC) // chunk, coordinate, item
     var j = 0
     while (j < nC) {
       if (populated(j)) {
@@ -114,14 +130,14 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
         val order = RecdexPrepared.boundOrder(bounds)
         clusterOrder(j) = order
         clusterBounds(j) = order.map(bounds)
-        clusterItems(j) = items.selectRows(order) // contiguous L_c
-        clusterHeads(j) = clusterItems(j).columns(math.min(blockSize, n))
+        val sorted = items.selectRows(order)
+        clusterChunks(j) = Array.tabulate(chunkStarts.length - 1)(ch =>
+          sorted.columns(chunkStarts(ch), chunkStarts(ch + 1)))
       }
       j += 1
     }
 
-    new RecdexUserIndex(users, userNorms, cluster, clusterOrder,
-      clusterBounds, clusterItems, clusterHeads, blockSize)
+    new RecdexUserIndex(users, userNorms, cluster, clusterOrder, clusterBounds, clusterChunks)
   }
 
   /** The built per-user-batch index (Algorithm 1's L plus user grouping):
@@ -132,25 +148,24 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       cluster: Array[Int],
       clusterOrder: Array[Array[Int]],
       clusterBounds: Array[Array[Double]],
-      clusterItems: Array[Matrix],
-      clusterHeads: Array[Array[Array[Double]]],
-      blockSize: Int,
+      clusterChunks: Array[Array[Array[Array[Double]]]],
   ) extends UserIndex {
 
     /** Exact top-K for every indexed user, row-aligned with the build matrix. */
     def queryAll(k: Int): Array[TopKResult] =
-      queryImpl(Array.range(0, users.rows), k, shareBlocked = blockSize > 0, null)
+      queryImpl(Array.range(0, users.rows), k, shareBlocked = true, null)
 
     override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
-      queryImpl(rows, k, shareBlocked = blockSize > 0, null)
+      queryImpl(rows, k, shareBlocked = true, null)
 
-    /** Lesion hook (Fig. 8): query with/without the §5.4 blocked head,
-      * reusing this built index so only walk time is measured. */
+    /** Lesion hook (Fig. 8): query blocked (the serving path) or unblocked
+      * (a bound check and one scored item per step), reusing this built
+      * index so only walk time is measured. */
     def queryAllLesion(k: Int, shareBlocked: Boolean): Array[TopKResult] =
       queryImpl(Array.range(0, users.rows), k, shareBlocked, null)
 
-    /** Lesion hook that also returns the mean items visited per user (w-bar
-      * in Eq. 4), counting both the blocked head and the walked tail. */
+    /** Lesion hook that also returns the mean items scored per user (w-bar
+      * in Eq. 4). */
     def queryAllCounting(k: Int, shareBlocked: Boolean): (Array[TopKResult], Double) = {
       val visited = new Array[Long](users.rows)
       val res = queryImpl(Array.range(0, users.rows), k, shareBlocked, visited)
@@ -158,12 +173,13 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     }
 
     /** Core walk over the user rows `rows`, grouped by cluster in
-      * O(|rows|): result i, and `visited(i)` if `visited` is non-null,
-      * belong to `rows(i)`. */
+      * O(|rows|): result i, and the number of items scored for it in
+      * `visited(i)` if `visited` is non-null, belong to `rows(i)`. */
     private[recdex] def queryImpl(rows: Array[Int], k: Int, shareBlocked: Boolean,
                                   visited: Array[Long]): Array[TopKResult] = {
-      val n = items.rows
+      val f = users.cols
       val nC = clusterOrder.length
+      val nChunks = chunkStarts.length - 1
       // counting sort: positions into `rows`, cluster by cluster, each
       // cluster's from(j) until from(j + 1)
       val from = new Array[Int](nC + 1)
@@ -173,44 +189,58 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       val byCluster = new Array[Int](rows.length)
       for (i <- rows.indices) { byCluster(next(cluster(rows(i)))) = i; next(cluster(rows(i))) += 1 }
 
+      // one score row per chunk; the blocked walk checks no bound before
+      // the head chunk (B items, or none when B = 0)
+      val scores = Array.tabulate(nChunks)(ch => new Array[Double](chunkStarts(ch + 1) - chunkStarts(ch)))
+      val firstChecked = if (shareBlocked && blockSize > 0) 1 else 0
       val out = new Array[TopKResult](rows.length)
       var j = 0
       while (j < nC) {
         if (from(j) < from(j + 1)) {
           val order = clusterOrder(j)
           val bounds = clusterBounds(j)
-          val sortedItems = clusterItems(j)
-          // Starting the walk at B < k offers the same items as a k-item
-          // head: the heap is not full before its k-th offer.
-          val b = if (shareBlocked) math.min(blockSize, n) else 0
-          val headScores = new Array[Double](b)
+          val chunks = clusterChunks(j)
 
           var q = from(j)
           while (q < from(j + 1)) {
             val pos = byCluster(q)
             val u = rows(pos)
+            val uOff = u * f
             val h = new TopKHeap(k)
-
-            // --- §5.4 blocked head: score the first B items, no bound checks ---
-            if (b > 0) {
-              Gemm.dotsInto(users.data, u * users.cols, clusterHeads(j), headScores)
-              var p = 0
-              while (p < b) { h.offer(headScores(p), order(p)); p += 1 }
-            }
-
-            // --- walk of the list remainder with CBound termination ---
+            // CBound is on the normalized rating; compare against min(h)/‖u‖.
             val uNorm = userNorms(u)
-            val uRow = users.row(u)
-            var p = b
+            val slack = uNorm * slackPerUserNorm
+            def pruned(p: Int): Boolean = h.isFull && bounds(p) * uNorm + slack < h.minScore
+
+            var ch = 0
+            var p = 0 // items scored so far: L_c's first p
             var stop = false
-            while (p < n && !stop) {
-              // CBound is on the normalized rating; compare against min(h)/‖u‖.
-              if (h.isFull && bounds(p) * uNorm < h.minScore) {
-                stop = true
+            while (ch < nChunks && !stop) {
+              val cols = chunks(ch)
+              val end = chunkStarts(ch + 1)
+              if (shareBlocked) {
+                if (ch >= firstChecked && pruned(p)) stop = true
+                else {
+                  val s = scores(ch)
+                  Gemm.dotsInto(users.data, uOff, cols, s)
+                  var i = 0
+                  while (i < s.length) { h.offer(s(i), order(p + i)); i += 1 }
+                  p = end
+                }
               } else {
-                h.offer(sortedItems.rowDot(p, uRow), order(p))
-                p += 1
+                val i0 = chunkStarts(ch)
+                while (p < end && !stop) {
+                  if (pruned(p)) stop = true
+                  else {
+                    var s = 0.0
+                    var d = 0
+                    while (d < f) { s += users.data(uOff + d) * cols(d)(p - i0); d += 1 }
+                    h.offer(s, order(p))
+                    p += 1
+                  }
+                }
               }
+              ch += 1
             }
             if (visited != null) visited(pos) = p.toLong
             out(pos) = h.result()
@@ -225,6 +255,44 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
 }
 
 object RecdexPrepared {
+
+  /** Items per chunk of a cluster list after the head, chosen from 64 and
+    * 128 by measuring both benchmark workloads (EXPERIMENTS.md "Chunked
+    * walk"). Chunks of 8–32 items were slower than a per-item walk. */
+  private[recdex] val ChunkItems = 128
+
+  /** Start of every chunk of an `n`-item list whose head holds `head`
+    * items, then `n`: 0, min(head, n) when head > 0, then every
+    * [[ChunkItems]] items. */
+  private[recdex] def chunkStarts(n: Int, head: Int): Array[Int] = {
+    val first = math.min(math.max(head, 0), n)
+    (0 +: (first until n by ChunkItems) :+ n).distinct.toArray
+  }
+
+  /** Rounding slack of the CBound check, per unit of ‖u‖·max‖i‖, for f
+    * coordinates: 4·√((2f + 4)·ε) with ε = 2^-53. The walk prunes only when
+    * fl(CBound·‖u‖) + slack < min(heap), so no item whose computed score
+    * ties or beats min(heap) is dropped. Derivation (first order in ε; every
+    * dot product adds in `rowDot` order, error ≤ γ_f·‖x‖‖y‖, γ_f ≈ fε):
+    *  - A computed cosine u·c/(‖u‖‖c‖) is off by δ ≤ (2f + 4)ε: fε from the
+    *    dot product, (f/2 + 1)ε from each norm, ε from the product and the
+    *    division. Clamping to [-1, 1] does not add to it.
+    *  - |acos x − acos y| ≤ acos(1 − |x − y|) ≈ √(2|x − y|), which is
+    *    reached near cos = ±1: an angle is off by up to √(2δ), not by a few
+    *    ε. θ_b is a maximum of such angles, so a user's true angle may pass
+    *    it by √(2δ), and θ_ic is off by as much.
+    *  - θ ↦ cos(max(0, θ)) is 1-Lipschitz, so the true Eq. 3 bound is at
+    *    most the computed one plus ‖i‖·(2√(2δ) + O(fε)) (the subtraction,
+    *    cos, ‖i‖ and the product add O(fε)).
+    *  - A computed score is off by γ_f·‖u‖‖i‖, and the check's own product
+    *    and add, and ‖u‖, by O(fε)·‖u‖·max‖i‖.
+    *
+    * Bounds of later items are no higher, but their norms may be, hence
+    * max‖i‖. 2√2 < 4, and the remaining 1.17·√δ covers the O(fε) terms for
+    * every f below about 10^14. A slack of fε alone would be too small by a
+    * factor of about 10^8 at f = 50. */
+  private[recdex] def boundSlack(f: Int): Double =
+    4.0 * math.sqrt((2.0 * f + 4.0) * math.ulp(1.0) / 2)
 
   /** Item ids by bound descending, then id ascending — the order of
     * `sortBy(i => (-bounds(i), i))` with doubles compared as

@@ -3,11 +3,11 @@ package repro.mips
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.core.{BruteForceMM, Matrix, MipsSolver}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, TopKResult}
 import repro.fexipro.Fexipro
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
-import repro.recdex.Recdex
+import repro.recdex.{Recdex, RecdexPrepared}
 
 /** Every solver must return EXACT top-K results (Theorem 1 for RECDEX; the
   * pruning inequalities for LEMP/FEXIPRO). This suite grinds each solver
@@ -18,17 +18,21 @@ import repro.recdex.Recdex
 class ExactnessSpec extends AnyFunSuite with PropSupport {
   import SolverTestSupport._
 
+  /** Tolerance that demands brute force's ids and score bits exactly. */
+  private val Identical = 0.0
+
   private def solvers: Seq[(String, MipsSolver, Double)] = Seq(
     // (label, solver, score tolerance) — SVD-rotating solvers accumulate
-    // ~1e-12-scale rotation error, so they get a looser tolerance.
+    // ~1e-12-scale rotation error, so they get a looser tolerance; RECDEX
+    // adds every score in brute force's order, so it gets none.
     ("MM",             new BruteForceMM(), 1e-9),
     ("LEMP",           new LempIndex(bucketSize = 32, prefixStep = 4), 1e-9),
     ("LEMP-big-bucket", new LempIndex(bucketSize = 1024, prefixStep = 16), 1e-9),
     ("FEXIPRO-SI",     new Fexipro(useReduction = false), 1e-7),
     ("FEXIPRO-SIR",    new Fexipro(useReduction = true), 1e-7),
-    ("RECDEX",         new Recdex(numClusters = 4, blockSize = 16), 1e-9),
-    ("RECDEX-noblock", new Recdex(numClusters = 4, blockSize = 0), 1e-9),
-    ("RECDEX-C1",      new Recdex(numClusters = 1, blockSize = 8), 1e-9),
+    ("RECDEX",         new Recdex(numClusters = 4, blockSize = 16), Identical),
+    ("RECDEX-noblock", new Recdex(numClusters = 4, blockSize = 0), Identical),
+    ("RECDEX-C1",      new Recdex(numClusters = 1, blockSize = 8), Identical),
   )
 
   private val configs = Seq(
@@ -50,7 +54,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     val (users, items) = ModelZoo.tiny(nu, ni, f, seed = nu * 7L + ni * 3L + k, concentrated = conc)
     val expect = bruteForce(users, items, k)
     val got = solver.prepare(items).queryBatch(users, k)
-    assertSame(got, expect, tol, s"$label/$nu/$ni/$f/$k")
+    check(got, expect, tol, s"$label/$nu/$ni/$f/$k")
   }
 
   for ((label, solver, tol) <- solvers)
@@ -60,7 +64,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val expect = bruteForce(users, items, 4)
       (0 until users.rows by 5).foreach { u =>
         val got = prepared.query(users.row(u), u, 4)
-        assertSame(Array(got), Array(expect(u)), tol, s"$label point u=$u")
+        check(Array(got), Array(expect(u)), tol, s"$label point u=$u")
       }
     }
 
@@ -69,7 +73,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     solvers.foreach { case (label, solver, tol) =>
       val got = solver.prepare(items).queryBatch(users, 6)
       val expect = bruteForce(users, items, 6)
-      assertSame(got, expect, tol, s"$label k=|I|")
+      check(got, expect, tol, s"$label k=|I|")
     }
   }
 
@@ -91,7 +95,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     val items = Matrix.fromRows(itemRows)
     val expect = bruteForce(users, items, 5)
     solvers.foreach { case (label, solver, tol) =>
-      assertSame(solver.prepare(items).queryBatch(users, 5), expect, tol, label)
+      check(solver.prepare(items).queryBatch(users, 5), expect, tol, label)
     }
   }
 
@@ -100,7 +104,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     val items = Matrix.tabulate(25, 5)((r, c) => -0.5 - 0.07 * ((r + c) % 9))
     val expect = bruteForce(users, items, 3)
     solvers.foreach { case (label, solver, tol) =>
-      assertSame(solver.prepare(items).queryBatch(users, 3), expect, tol, label)
+      check(solver.prepare(items).queryBatch(users, 3), expect, tol, label)
     }
   }
 
@@ -117,7 +121,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
   }
 
   checkProp("property: RECDEX exact on random shapes", minTests = 30) {
-    exactProp(new Recdex(numClusters = 3, blockSize = 8), 1e-9)
+    exactProp(new Recdex(numClusters = 3, blockSize = 8), Identical)
   }
 
   // Integer coordinates in [-3, 3] make many exact score ties, so the ids
@@ -139,6 +143,32 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  checkProp("property: RECDEX at B = 0 and at a random B < |I|, blocked and unblocked, returns " +
+      "brute force's ids and score bits on tie-heavy integer models", minTests = 150) {
+    Prop.forAll(Gen.choose(1, 30), Gen.choose(1, 300), Gen.choose(1, 8),
+      Gen.choose(1, 31), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
+      val k = math.min(k0, ni + 1)
+      val rng = new scala.util.Random(seed)
+      val users = Matrix.tabulate(nu, f)((_, _) => rng.nextInt(7) - 3.0)
+      val items = Matrix.tabulate(ni, f)((_, _) => rng.nextInt(7) - 3.0)
+      val expect = bruteForce(users, items, k)
+      Seq(0, rng.nextInt(ni)).forall { b =>
+        val idx = new Recdex(numClusters = 3, blockSize = b).prepare(items)
+          .asInstanceOf[RecdexPrepared].buildUserIndexImpl(users)
+        Seq(true, false).forall { blocked =>
+          try { assertIdentical(idx.queryAllLesion(k, blocked), expect, s"B=$b blocked=$blocked"); true }
+          catch { case e: Throwable => println(e.getMessage); false }
+        }
+      }
+    }
+  }
+
+  /** `assertIdentical` at tolerance [[Identical]], else `assertSame`. */
+  private def check(got: Array[TopKResult], expect: Array[TopKResult], tol: Double,
+                    context: String): Unit =
+    if (tol == Identical) assertIdentical(got, expect, context)
+    else assertSame(got, expect, tol, context)
+
   private def exactProp(solver: MipsSolver, tol: Double): Prop =
     Prop.forAll(Gen.choose(2, 40), Gen.choose(2, 40), Gen.choose(2, 12),
       Gen.choose(1, 8), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
@@ -147,7 +177,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val items = Matrix.randn(ni, f, seed + 1)
       val expect = bruteForce(users, items, k)
       val got = solver.prepare(items).queryBatch(users, k)
-      try { assertSame(got, expect, tol); true }
+      try { check(got, expect, tol, solver.name); true }
       catch { case e: Throwable => println(e.getMessage); false }
     }
 }

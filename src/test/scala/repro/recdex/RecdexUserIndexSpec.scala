@@ -24,7 +24,7 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     test(s"queryAll matches brute force (concentrated=$conc blockSize=$b)") {
       val (users, items, idx) = built(150, 90, 10, b, conc, seed = 41)
       val expect = SolverTestSupport.bruteForce(users, items, 5)
-      SolverTestSupport.assertSame(idx.queryAll(5).map(identity), expect, 1e-9)
+      SolverTestSupport.assertIdentical(idx.queryAll(5), expect)
     }
 
     test(s"querySubset matches queryAll rows (concentrated=$conc blockSize=$b)") {
@@ -60,6 +60,46 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  // Chunk edges: |I| and B off multiples of the chunk width, no head, a head
+  // covering the list, k past the chunk width and past |I|.
+  checkProp("property: at the chunk edges both walks return brute force's ids and score bits, " +
+      "and the blocked walk scores up to the first chunk start the per-item walk reaches", minTests = 40) {
+    val c = RecdexPrepared.ChunkItems
+    val gen = for {
+      ni <- Gen.oneOf(Gen.choose(1, 3 * c + 7), Gen.const(2 * c))
+      b <- Gen.oneOf(Gen.const(0), Gen.choose(1, ni - 1 max 1), Gen.const(c + 3), Gen.choose(ni, ni + 5))
+      k <- Gen.oneOf(Gen.choose(1, 12), Gen.choose(c, c + 9), Gen.const(ni + 1))
+      nu <- Gen.choose(1, 60)
+      f <- Gen.choose(1, 12)
+      conc <- Gen.oneOf(true, false)
+      seed <- Gen.choose(0L, 10000L)
+    } yield (ni, b, k, nu, f, conc, seed)
+    Prop.forAll(gen) { case (ni, b, k, nu, f, conc, seed) =>
+      val (users, items) = ModelZoo.tiny(nu, ni, f, seed, concentrated = conc)
+      val idx = new Recdex(numClusters = 4, blockSize = b).prepare(items).asInstanceOf[RecdexPrepared]
+        .buildUserIndexImpl(users)
+      val expect = SolverTestSupport.bruteForce(users, items, k)
+      val all = Array.range(0, nu)
+      val (perItem, blocked) = (new Array[Long](nu), new Array[Long](nu))
+      SolverTestSupport.assertIdentical(idx.queryImpl(all, k, shareBlocked = false, perItem), expect, "per-item")
+      SolverTestSupport.assertIdentical(idx.queryImpl(all, k, shareBlocked = true, blocked), expect, "blocked")
+      val starts = RecdexPrepared.chunkStarts(ni, b)
+      all.forall { u =>
+        val firstStart = starts.find(_ >= math.max(perItem(u), math.min(b, ni).toLong)).get
+        blocked(u) >= perItem(u) && blocked(u) == firstStart && blocked(u) <= ni
+      }
+    }
+  }
+
+  test("chunk starts: the head, then every ChunkItems items, then |I|") {
+    val c = RecdexPrepared.ChunkItems
+    assert(RecdexPrepared.chunkStarts(2 * c + 1, 0).toSeq == Seq(0, c, 2 * c, 2 * c + 1))
+    assert(RecdexPrepared.chunkStarts(2 * c, 5).toSeq == Seq(0, 5, 5 + c, 2 * c))
+    assert(RecdexPrepared.chunkStarts(10, 10).toSeq == Seq(0, 10))
+    assert(RecdexPrepared.chunkStarts(10, 4096).toSeq == Seq(0, 10))
+    assert(RecdexPrepared.chunkStarts(0, 3).toSeq == Seq(0))
+  }
+
   test("querySubset with a single row") {
     val (users, items, idx) = built(60, 40, 6, 8, conc = true, seed = 47)
     val sub = idx.querySubset(Array(33), 3)
@@ -74,10 +114,10 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     val expect = SolverTestSupport.bruteForce(users, items, 4)
     val withBlock = idx.queryAllLesion(4, shareBlocked = true)
     val without = idx.queryAllLesion(4, shareBlocked = false)
-    SolverTestSupport.assertSame(withBlock, expect, 1e-9, "blocked")
-    SolverTestSupport.assertSame(without, expect, 1e-9, "unblocked")
+    SolverTestSupport.assertIdentical(withBlock, expect, "blocked")
+    SolverTestSupport.assertIdentical(without, expect, "unblocked")
     val (counted, wBar) = idx.queryAllCounting(4, shareBlocked = false)
-    SolverTestSupport.assertSame(counted, expect, 1e-9, "counting")
+    SolverTestSupport.assertIdentical(counted, expect, "counting")
     assert(wBar >= 4.0 && wBar <= 70.0, s"w-bar $wBar out of range")
   }
 
