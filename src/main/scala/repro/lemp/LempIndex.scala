@@ -20,8 +20,8 @@ import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
   *     norms; when the bound falls below the heap threshold the item is
   *     abandoned (incremental pruning).
   *
-  * The index is exact: pruning only discards items whose upper bound is
-  * strictly below the admission threshold.
+  * The index is exact: pruning only discards items whose upper bound, widened
+  * by a rounding slack, is strictly below the admission threshold.
   */
 final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extends MipsSolver {
   override def name: String = "LEMP"
@@ -35,24 +35,9 @@ final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extend
     val sorted = items.selectRows(order)
     val sortedNorms = order.map(norms)
 
-    // suffix norms: suffix(i)(p) = ||item_i[p..f)||, precomputed at prefixStep boundaries
+    // suffix norms at prefixStep boundaries
     val checkpoints = (prefixStep until f by prefixStep).toArray
-    val suffixNorms = new Array[Array[Double]](n)
-    var i = 0
-    while (i < n) {
-      val off = i * f
-      val sn = new Array[Double](checkpoints.length)
-      var cIdx = checkpoints.length - 1
-      var s = 0.0
-      var p = f - 1
-      while (p >= 0) {
-        val v = sorted.data(off + p); s += v * v
-        if (cIdx >= 0 && p == checkpoints(cIdx)) { sn(cIdx) = math.sqrt(s); cIdx -= 1 }
-        p -= 1
-      }
-      suffixNorms(i) = sn
-      i += 1
-    }
+    val suffixNorms = Array.tabulate(n)(i => LempIndex.suffixNorms(sorted.data, i * f, f, checkpoints))
 
     val nBuckets = (n + bucketSize - 1) / bucketSize
     val bucketStart = Array.tabulate(nBuckets)(_ * bucketSize)
@@ -60,6 +45,23 @@ final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extend
 
     new LempPrepared(sorted, sortedNorms, suffixNorms, checkpoints, order,
       bucketStart, bucketMaxNorm, bucketSize, prefixStep)
+  }
+}
+
+object LempIndex {
+  /** ‖v[c..f)‖ for every checkpoint c, of the f values `data[off..off+f)`. */
+  private[lemp] def suffixNorms(data: Array[Double], off: Int, f: Int,
+                                checkpoints: Array[Int]): Array[Double] = {
+    val sn = new Array[Double](checkpoints.length)
+    var cIdx = checkpoints.length - 1
+    var s = 0.0
+    var p = f - 1
+    while (p >= 0) {
+      val v = data(off + p); s += v * v
+      if (cIdx >= 0 && p == checkpoints(cIdx)) { sn(cIdx) = math.sqrt(s); cIdx -= 1 }
+      p -= 1
+    }
+    sn
   }
 }
 
@@ -75,6 +77,16 @@ final class LempPrepared(
     prefixStep: Int,
 ) extends PreparedMips {
 
+  /** Rounding slack of the prune checks per unit of user norm,
+    * (4f + 8)·ε·max‖i‖ with ε = 2^-53, so no item whose computed score ties
+    * min(heap) is pruned. To first order in ε: fl(‖u‖·‖i‖) is below ‖u‖‖i‖
+    * by at most (f + 3)ε·‖u‖‖i‖ (each norm (f/2 + 1)ε, the product ε), a
+    * score summed in `rowDot` order exceeds u·i by at most fε·‖u‖‖i‖, and
+    * the suffix bound's add rounds by at most 2ε·‖u‖‖i‖: (2f + 5)ε in all,
+    * covered twice. No angle is taken, unlike in RECDEX's CBound. */
+  private val slackPerUserNorm: Double =
+    (4.0 * sorted.cols + 8) * math.ulp(1.0) / 2 * sortedNorms.headOption.getOrElse(0.0)
+
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
     val f = sorted.cols
     val n = sorted.rows
@@ -83,26 +95,19 @@ final class LempPrepared(
       while (p < f) { s += user(p) * user(p); p += 1 }
       math.sqrt(s)
     }
-    // user suffix norms at the same checkpoints
-    val uSuffix = new Array[Double](checkpoints.length)
-    locally {
-      var cIdx = checkpoints.length - 1
-      var s = 0.0
-      var p = f - 1
-      while (p >= 0) {
-        s += user(p) * user(p)
-        if (cIdx >= 0 && p == checkpoints(cIdx)) { uSuffix(cIdx) = math.sqrt(s); cIdx -= 1 }
-        p -= 1
-      }
-    }
+    val uSuffix = LempIndex.suffixNorms(user, 0, f, checkpoints)
 
     val h = new TopKHeap(k)
+    val slack = uNorm * slackPerUserNorm
+    // every check prunes strictly below min(heap) less the slack, and
+    // nothing while the heap is not full, so ties stay exact
+    def threshold = if (h.isFull) h.minScore - slack else Double.NegativeInfinity
     var b = 0
     var done = false
     while (b < bucketStart.length && !done) {
       // length pruning across buckets: best possible score in this (and all
-      // later) buckets is ||u|| * maxNorm(bucket); strict < keeps ties exact.
-      if (h.isFull && uNorm * bucketMaxNorm(b) < h.minScore) {
+      // later) buckets is ||u|| * maxNorm(bucket)
+      if (uNorm * bucketMaxNorm(b) < threshold) {
         done = true
       } else {
         val start = bucketStart(b)
@@ -112,10 +117,10 @@ final class LempPrepared(
         while (i < end && !bucketDone) {
           // per-item length pruning; items in a bucket are norm-descending,
           // so the first prunable item prunes the bucket remainder.
-          if (h.isFull && uNorm * sortedNorms(i) < h.minScore) {
+          if (uNorm * sortedNorms(i) < threshold) {
             bucketDone = true
           } else {
-            val score = incrementalDot(user, uSuffix, i, if (h.isFull) h.minScore else Double.NegativeInfinity)
+            val score = incrementalDot(user, uSuffix, i, threshold)
             if (!score.isNaN) h.offer(score, originalIds(i))
             i += 1
           }

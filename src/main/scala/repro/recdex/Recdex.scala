@@ -25,8 +25,8 @@ import repro.core._
   *    is scored whole with the vectorized [[Gemm.dotsInto]] and offered to
   *    the heap in list order.
   *  - Unblocked (the paper's plain RECDEX, the Fig. 8 lesion): the same loop
-  *    checks CBound before every item and scores one item per step from the
-  *    chunk's columns.
+  *    checks CBound before every item and scores one item per step, from
+  *    its row of the row-major item matrix.
   *  - The walk stops at the first check where CBound(c, i, θ_b) < min(heap).
   *    Exactness is Theorem 1: bounds do not increase along L_c, the bound
   *    dominates u·i/‖u‖ for every user in the cluster, and min(heap) does
@@ -216,25 +216,25 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
             var p = 0 // items scored so far: L_c's first p
             var stop = false
             while (ch < nChunks && !stop) {
-              val cols = chunks(ch)
               val end = chunkStarts(ch + 1)
               if (shareBlocked) {
                 if (ch >= firstChecked && pruned(p)) stop = true
                 else {
                   val s = scores(ch)
-                  Gemm.dotsInto(users.data, uOff, cols, s)
+                  Gemm.dotsInto(users.data, uOff, chunks(ch), s)
                   var i = 0
                   while (i < s.length) { h.offer(s(i), order(p + i)); i += 1 }
                   p = end
                 }
               } else {
-                val i0 = chunkStarts(ch)
                 while (p < end && !stop) {
                   if (pruned(p)) stop = true
                   else {
+                    // the item's row of `items`, added in rowDot order
+                    val iOff = order(p) * f
                     var s = 0.0
                     var d = 0
-                    while (d < f) { s += users.data(uOff + d) * cols(d)(p - i0); d += 1 }
+                    while (d < f) { s += items.data(iOff + d) * users.data(uOff + d); d += 1 }
                     h.offer(s, order(p))
                     p += 1
                   }

@@ -25,7 +25,7 @@ final case class StrategyEstimate(
     name: String,
     buildNanos: Long,
     perUserNanos: Double,
-    usersTimed: Int,
+    usersTimed: Long,
     estTotalNanos: Double,
 )
 
@@ -45,8 +45,8 @@ final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
 final case class RecOptReport(
     chosen: String,
     estimates: Seq[StrategyEstimate],
-    sampleSize: Int,
-    totalUsers: Int,
+    sampleSize: Long,
+    totalUsers: Long,
     /** optimization work that did NOT produce reused results: the losing
       * strategies' builds and sampled busy time. On Spark the busy time is
       * summed over partitions timed concurrently. */
@@ -102,11 +102,13 @@ object RecOpt {
   def minSampleForCache(f: Int, l2CacheBytes: Long): Int =
     math.max(1, math.ceil(4.0 * l2CacheBytes / (f.toLong * 8)).toInt)
 
-  /** Users to time: `sampleFraction` of them, but never below the
-    * cache-occupancy floor, and never more than there are. */
-  def sampleSize(totalUsers: Int, f: Int, cfg: RecOptConfig): Int =
-    math.min(totalUsers, math.max(math.ceil(totalUsers * cfg.sampleFraction).toInt,
-      minSampleForCache(f, cfg.l2CacheBytes)))
+  /** Rows to time in a block of `rows` users, one of `blocks`: a
+    * `sampleFraction` of them, never below ⌈cache-occupancy floor / blocks⌉
+    * nor above `rows`. Local [[serveAll]] is one block; Spark passes its user
+    * partition count, which the driver knows without counting the users. */
+  def sampleSize(rows: Int, f: Int, cfg: RecOptConfig, blocks: Int = 1): Int =
+    math.min(rows, math.max(math.ceil(rows * cfg.sampleFraction).toInt,
+      ((minSampleForCache(f, cfg.l2CacheBytes) + blocks - 1L) / blocks).toInt))
 
   /** The row picker of every block: `count` of `rows` rows, drawn by a
     * shuffle seeded with `seed`. Returns sorted row indices. */
@@ -184,8 +186,8 @@ object RecOpt {
     * pick the minimum. The sample size is what MM timed; the waste is the
     * losers' builds and busy time. */
   def report(builds: Seq[(String, Long)], costs: Seq[(String, Long, Long, Int)],
-             totalUsers: Int, startNanos: Long): RecOptReport = {
-    val summed = costs.groupMapReduce(_._1)(c => (c._2, c._3, c._4)) {
+             totalUsers: Long, startNanos: Long): RecOptReport = {
+    val summed = costs.groupMapReduce(_._1)(c => (c._2, c._3, c._4.toLong)) {
       case ((f1, n1, u1), (f2, n2, u2)) => (f1 + f2, n1 + n2, u1 + u2)
     }
     val estimates = builds.map { case (name, itemBuild) =>
@@ -203,7 +205,7 @@ object RecOpt {
   /** Build every candidate, time it on the `sampled` rows of `block` and
     * decide, extrapolating to `totalUsers`. */
   private def decideOn(block: Matrix, sampled: Array[Int], items: Matrix, k: Int,
-                       indexSolvers: Seq[MipsSolver], totalUsers: Int)
+                       indexSolvers: Seq[MipsSolver], totalUsers: Long)
       : (RecOptReport, Seq[BlockTiming]) = {
     val t0 = System.nanoTime()
     val candidates = buildCandidates(items, indexSolvers)
@@ -218,7 +220,7 @@ object RecOpt {
     * since timing has no settings; it is kept so callers that pass one
     * compile unchanged. */
   def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
-               indexSolvers: Seq[MipsSolver], totalUsers: Int,
+               indexSolvers: Seq[MipsSolver], totalUsers: Long,
                @unused cfg: RecOptConfig = RecOptConfig()): RecOptReport =
     decideOn(sampleUsers, Array.range(0, sampleUsers.rows), items, k, indexSolvers, totalUsers)._1
 

@@ -70,11 +70,12 @@ object SparkMips {
     *
     * k < 1 and column types other than `user_id BIGINT`, `features
     * ARRAY<DOUBLE>` fail on the driver. The users are not counted, since that
-    * is one more Spark job per call (about 0.1 s for 8,000 users on 4 cores,
-    * over a quarter of an MM serve there), so an empty users DataFrame yields
-    * no rows. A null user id, or features that are null, hold a null or
-    * non-finite value or are not as long as the items', fail the user's task
-    * with a message naming the user.
+    * costs a two-stage aggregate with a shuffle (two Spark jobs under
+    * adaptive execution, about 0.1 s for 12,000 users on 4 cores, half an MM
+    * serve there), so an empty users DataFrame yields no rows. A null user
+    * id, or features that are null, hold a null or non-finite value or are
+    * not as long as the items', fail the user's task with a message naming
+    * the user.
     */
   def topKAll(spark: SparkSession, users: DataFrame, items: DataFrame, k: Int,
               solver: MipsSolver): DataFrame = {
@@ -95,18 +96,19 @@ object SparkMips {
 
   /** Distributed serving with RECOPT choosing the strategy.
     *
-    * Decision phase, eager: collect the items once; build MM and every
-    * candidate once on the driver (C_I) and broadcast them; then one pass
-    * over the users decodes each partition into a block, picks its share of
-    * the [[RecOpt.sampleSize]] users with [[RecOpt.sampleRows]] (partition p
-    * of `n_p` rows picks ceil(sampleSize × n_p / |U|) rows, seeded with
-    * `cfg.seed + p`, so every non-empty block has a sampled row and one
-    * partition picks what local `serveAll` picks) and runs
-    * [[RecOpt.timeBlock]] on them: every candidate is bound to the whole
-    * block (RECDEX builds its user index over it, a per-block cost added to
-    * its build) and timed in chunks on the sampled rows. Each block is kept
-    * in memory with every candidate's sampled results and serve handle; the
-    * driver extrapolates the timings and decides. Serve phase, lazy: the
+    * Decision phase, eager, two Spark jobs: collect the items; build MM and
+    * every candidate once on the driver (C_I) and broadcast them; then one
+    * pass decodes each user partition p of P into a block of n_p rows, picks
+    * [[RecOpt.sampleSize]]`(n_p, f, cfg, P)` of them with
+    * [[RecOpt.sampleRows]] seeded with `cfg.seed + p` (so every non-empty
+    * block has a sampled row, and one partition picks what local `serveAll`
+    * picks) and runs [[RecOpt.timeBlock]] on them: every candidate is bound
+    * to the whole block (RECDEX builds its user index over it, a per-block
+    * cost added to its build) and timed in chunks on the sampled rows. Each
+    * block is kept in memory with every candidate's sampled results and
+    * serve handle. The pass returns each block's row count with its costs;
+    * the driver sums the counts to |U| (no job counts the users first),
+    * extrapolates and decides. Serve phase, lazy: the
     * returned DataFrame maps over the same blocks, drops every handle but
     * the winner's and serves each block with [[RecOpt.reuseSample]] and the
     * winner's handle, so RECDEX never clusters a block twice. The report's
@@ -117,9 +119,8 @@ object SparkMips {
     * block Spark drops is recomputed from the users, which times its sampled
     * rows again, so the broadcast is never destroyed here.
     *
-    * Fails on the driver if k < 1, the column types are wrong, the users
-    * DataFrame is empty, or it holds more than `Int.MaxValue` users; bad user
-    * rows fail as in [[topKAll]].
+    * Fails on the driver if k < 1 or the column types are wrong, and after
+    * the pass if the users DataFrame is empty; bad user rows as in [[topKAll]].
     */
   def topKAllWithRecOpt(spark: SparkSession, users: DataFrame, items: DataFrame,
                         k: Int, indexSolvers: Seq[MipsSolver],
@@ -127,25 +128,26 @@ object SparkMips {
     val t0 = System.nanoTime()
     requireK(k)
     val userRows = InternalRows.rdd(embeddings(users, "user_id"))
-    val totalUsers = countUsers(users)
     val (itemIds, itemMatrix) = collectMatrix(items, "item_id")
     val f = itemMatrix.cols
     val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
 
     // --- one pass: decode every partition once, time the candidates on its sampled rows ---
     val bCandidates = spark.sparkContext.broadcast(candidates.map { case (name, prep, _) => name -> prep })
-    val sampleSize = RecOpt.sampleSize(totalUsers, f, cfg).toLong
-    val seed = cfg.seed
+    val partitions = userRows.getNumPartitions
     val blocks = userRows.mapPartitionsWithIndex { (p, it) =>
       val (ids, block) = decode(it, "user", f)
       val sampled = RecOpt.sampleRows(ids.length,
-        ((sampleSize * ids.length + totalUsers - 1) / totalUsers).toInt, seed + p)
+        RecOpt.sampleSize(ids.length, f, cfg, partitions), cfg.seed + p)
       val timings =
         if (ids.isEmpty) Seq.empty else RecOpt.timeBlock(block, sampled, k, bCandidates.value)
       Iterator.single(new TimedBlock(ids, sampled, timings))
     }.persist(StorageLevel.MEMORY_ONLY)
+    val passed = blocks.map(b => (b.ids.length.toLong, b.timings.map(_.cost))).collect()
+    val totalUsers = passed.map(_._1).sum
+    require(totalUsers > 0, "users DataFrame is empty: nothing to serve")
     val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
-      blocks.flatMap(_.timings.map(_.cost)).collect().toSeq, totalUsers, t0)
+      passed.toSeq.flatMap(_._2), totalUsers, t0)
 
     // --- serve the same blocks: the winner's sampled results, its handle for the rest ---
     val chosen = report.chosen
@@ -169,14 +171,6 @@ object SparkMips {
                                  var timings: Seq[BlockTiming])
 
   private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
-
-  /** The population RECOPT extrapolates to, checked on the driver. */
-  private def countUsers(users: DataFrame): Int = {
-    val n = users.count()
-    require(n > 0, "users DataFrame is empty: nothing to serve")
-    require(n <= Int.MaxValue, s"$n users exceed ${Int.MaxValue}, the most one call can serve")
-    n.toInt
-  }
 
   /** The `(idCol, features)` columns of `df`, checked on the driver to be
     * BIGINT and ARRAY<DOUBLE>, the layout [[decode]] reads. */

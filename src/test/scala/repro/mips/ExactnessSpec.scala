@@ -124,42 +124,55 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     exactProp(new Recdex(numClusters = 3, blockSize = 8), Identical)
   }
 
-  // Integer coordinates in [-3, 3] make many exact score ties, so the ids
-  // must follow the (score desc, id asc) order row for row.
-  checkProp("property: MM and RECDEX with a full head return brute force's ids and score bits " +
-      "on tie-heavy integer models", minTests = 40) {
-    Prop.forAll(Gen.choose(1, 30), Gen.choose(1, 30), Gen.choose(1, 8),
+  /** Integer coordinates in [-3, 3] make many exact score ties, so the ids
+    * must follow the (score desc, id asc) order row for row. Draws up to 30
+    * users, `maxItems` items, f ≤ 8 and k ≤ 31 (at most |I| + 1) and asks
+    * `agrees(users, items, k, expect, rng)` whether the strategies under
+    * test return brute force's `expect` exactly; `rng` is seeded per model. */
+  private def tieHeavy(maxItems: Int)(
+      agrees: (Matrix, Matrix, Int, Array[TopKResult], scala.util.Random) => Boolean): Prop =
+    Prop.forAll(Gen.choose(1, 30), Gen.choose(1, maxItems), Gen.choose(1, 8),
       Gen.choose(1, 31), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
       val k = math.min(k0, ni + 1)
       val rng = new scala.util.Random(seed)
       val users = Matrix.tabulate(nu, f)((_, _) => rng.nextInt(7) - 3.0)
       val items = Matrix.tabulate(ni, f)((_, _) => rng.nextInt(7) - 3.0)
-      val expect = bruteForce(users, items, k)
-      Seq(new BruteForceMM(), new Recdex(numClusters = 3, blockSize = ni + rng.nextInt(3)))
-        .forall { solver =>
-          try { assertIdentical(solver.prepare(items).queryBatch(users, k), expect, solver.name); true }
-          catch { case e: Throwable => println(e.getMessage); false }
-        }
+      agrees(users, items, k, bruteForce(users, items, k), rng)
+    }
+
+  /** `assertIdentical` as a property outcome: false, with the message
+    * printed, where it fails. */
+  private def identical(got: => Array[TopKResult], expect: Array[TopKResult], context: String): Boolean =
+    try { assertIdentical(got, expect, context); true }
+    catch { case e: Throwable => println(e.getMessage); false }
+
+  checkProp("property: MM and RECDEX with a full head return brute force's ids and score bits " +
+      "on tie-heavy integer models", minTests = 40) {
+    tieHeavy(30) { (users, items, k, expect, rng) =>
+      Seq(new BruteForceMM(), new Recdex(numClusters = 3, blockSize = items.rows + rng.nextInt(3)))
+        .forall(solver => identical(solver.prepare(items).queryBatch(users, k), expect, solver.name))
     }
   }
 
   checkProp("property: RECDEX at B = 0 and at a random B < |I|, blocked and unblocked, returns " +
       "brute force's ids and score bits on tie-heavy integer models", minTests = 150) {
-    Prop.forAll(Gen.choose(1, 30), Gen.choose(1, 300), Gen.choose(1, 8),
-      Gen.choose(1, 31), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
-      val k = math.min(k0, ni + 1)
-      val rng = new scala.util.Random(seed)
-      val users = Matrix.tabulate(nu, f)((_, _) => rng.nextInt(7) - 3.0)
-      val items = Matrix.tabulate(ni, f)((_, _) => rng.nextInt(7) - 3.0)
-      val expect = bruteForce(users, items, k)
-      Seq(0, rng.nextInt(ni)).forall { b =>
+    tieHeavy(300) { (users, items, k, expect, rng) =>
+      Seq(0, rng.nextInt(items.rows)).forall { b =>
         val idx = new Recdex(numClusters = 3, blockSize = b).prepare(items)
           .asInstanceOf[RecdexPrepared].buildUserIndexImpl(users)
-        Seq(true, false).forall { blocked =>
-          try { assertIdentical(idx.queryAllLesion(k, blocked), expect, s"B=$b blocked=$blocked"); true }
-          catch { case e: Throwable => println(e.getMessage); false }
-        }
+        Seq(true, false).forall(blocked =>
+          identical(idx.queryAllLesion(k, blocked), expect, s"B=$b blocked=$blocked"))
       }
+    }
+  }
+
+  // small buckets and prefix steps, so all three prune checks run often
+  checkProp("property: LEMP returns brute force's ids and score bits on tie-heavy integer models",
+      minTests = 300) {
+    tieHeavy(300) { (users, items, k, expect, rng) =>
+      val lemp = new LempIndex(bucketSize = 1 + rng.nextInt(8), prefixStep = 1 + rng.nextInt(3))
+      identical(lemp.prepare(items).queryBatch(users, k), expect,
+        s"LEMP bucket=${lemp.bucketSize} step=${lemp.prefixStep}")
     }
   }
 

@@ -141,6 +141,18 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("report extrapolates to 3e9 users and sums block counts past Int.MaxValue") {
+    // two blocks that each timed 1.5e9 users: 3e9 in all, more than an Int holds
+    val blocks = Seq(("MM", 0L, 3000000000L, 1500000000), ("MM", 0L, 3000000000L, 1500000000),
+      ("IDX", 5L, 1000L, 10), ("IDX", 5L, 1000L, 10))
+    val report = RecOpt.report(Seq("MM" -> 0L, "IDX" -> 100L), blocks, 3000000000L, System.nanoTime())
+    assert(report.totalUsers == 3000000000L && report.sampleSize == 3000000000L)
+    val Seq(mm, idx) = report.estimates
+    assert(mm.usersTimed == 3000000000L && mm.perUserNanos == 2.0 && mm.estTotalNanos == 6e9)
+    assert(idx.usersTimed == 20 && idx.buildNanos == 110 && idx.estTotalNanos == 110 + 100.0 * 3e9)
+    assert(report.chosen == "MM" && report.wastedNanos == 110 + 2000)
+  }
+
   test("t-test stops early on a clearly slower point-query index") {
     val (users, items) = ModelZoo.tiny(400, 50, 8, seed = 73)
     val sample = users.sliceRows(0, 200)

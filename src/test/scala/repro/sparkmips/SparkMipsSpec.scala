@@ -4,10 +4,13 @@ import java.util.concurrent.atomic.AtomicLong
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.{array, col, lit}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, PropSupport, SparkSpec}
 import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndex,
   UserIndexedMips}
 import repro.lemp.LempIndex
@@ -23,7 +26,7 @@ import repro.recopt.{RecOpt, RecOptConfig}
   * bit-identical on both engines — the oracle then proves the whole Spark
   * path (DataFrame → partition blocks → kernel → rows) end to end.
   */
-class SparkMipsSpec extends SparkSpec {
+class SparkMipsSpec extends SparkSpec with PropSupport {
 
   /** Integer-valued model (coords in [-4, 4]) for exact cross-engine checks. */
   private def intModel(nu: Int, ni: Int, f: Int, seed: Long): (Matrix, Matrix) = {
@@ -287,16 +290,80 @@ class SparkMipsSpec extends SparkSpec {
     }
   }
 
-  test("on 4 partitions, the RECOPT sample is each partition's share, rounded up") {
+  /** What a block of `n` rows, one of `blocks`, samples: its fraction, but
+    * at least its share of the cache floor (`floor` users), and at most `n`. */
+  private def blockSample(n: Int, blocks: Int, fraction: Double, floor: Int): Int =
+    math.min(n, math.max(math.ceil(fraction * n).toInt, (floor + blocks - 1) / blocks))
+
+  test("on 4 partitions, each partition samples its fraction or a quarter of the floor, " +
+      "whichever is more") {
     val usersDf = SparkMips.toDf(spark, idFirstUsers(300, 131), "user_id", 4)
     val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
-    val sizes = usersDf.rdd.mapPartitions(it => Iterator(it.size.toLong)).collect()
-    for (fraction <- Seq(0.0, 0.05, 0.3, 1.0)) {
-      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1, seed = 3)
-      val s = RecOpt.sampleSize(300, 4, cfg).toLong
+    val sizes = usersDf.rdd.mapPartitions(it => Iterator(it.size)).collect()
+    assert(sizes.toSeq == Seq(75, 75, 75, 75))
+    // at f = 4, l2CacheBytes = 800 puts the floor at 4 * 800 / 32 = 100 users
+    for (fraction <- Seq(0.0, 0.05, 0.3, 0.5, 1.0)) {
+      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 800, seed = 3)
       val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq.empty, cfg)
-      assert(report.sampleSize == sizes.map(n => (s * n + 299) / 300).sum, s"fraction $fraction")
+      assert(report.sampleSize == sizes.map(blockSample(_, 4, fraction, 100)).sum, s"fraction $fraction")
+      assert(report.totalUsers == 300)
     }
+    assert(blockSample(75, 4, 0.3, 100) == 25 && blockSample(75, 4, 0.5, 100) == 38)
+  }
+
+  checkProp("property: on skewed partitions where the floor binds, each non-empty partition " +
+      "samples by the per-block rule and RECOPT serves brute force's rows", minTests = 8) {
+    // four partitions of 150 users; the filter keeps the first n_p of partition p
+    val u = idFirstUsers(600, 157)
+    val i = Matrix.randn(40, 4, seed = 158)
+    val all = SparkMips.toDf(spark, u, "user_id", 4)
+    val items = SparkMips.toDf(spark, i, "item_id", 1)
+    val expect = SolverTestSupport.bruteForce(u, i, 2)
+    val size = Gen.frequency(1 -> Gen.const(0), 1 -> Gen.oneOf(10, 50, 140), 2 -> Gen.choose(1, 150))
+    Prop.forAllNoShrink(Gen.listOfN(4, size).suchThat(_.sum > 0), Gen.oneOf(0.0, 0.05, 0.1),
+        Gen.choose(4, 128)) { (sizes, fraction, floor) =>
+      val kept = sizes.zipWithIndex.flatMap { case (n, p) => (0 until n).map(r => 150L * p + r) }
+      val usersDf = all.where(col("user_id").isin(kept: _*))
+      SparkMipsSpec.timedCalls.clear()
+      // l2CacheBytes = 8 * floor puts the floor at `floor` users for f = 4;
+      // each partition then samples at most 32 rows (ceil(0.1 * 150) = 15,
+      // ceil(128 / 4) = 32), two chunks, all of which the spinning
+      // candidate is timed on before its t-test can stop it
+      val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq(recording),
+        RecOptConfig(sampleFraction = fraction, l2CacheBytes = 8L * floor, seed = 11))
+      val perPartition = recorded.groupBy(id => (id / 150).toInt).map { case (p, ids) => p -> ids.size }
+      val want = sizes.zipWithIndex.collect { case (n, p) if n > 0 => p -> blockSample(n, 4, fraction, floor) }
+      val rows = df.collect().map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted
+      val bruteRows = kept.flatMap(id => (0 until 2).map(r =>
+        (id, r + 1, expect(id.toInt).ids(r).toLong, expect(id.toInt).scores(r))))
+      val ok = perPartition == want.toMap && recorded.distinct.length == recorded.length &&
+        report.sampleSize == want.map(_._2).sum && report.totalUsers == kept.length &&
+        rows.toSeq == bruteRows
+      if (!ok) println(s"sizes $sizes fraction $fraction floor $floor: sampled $perPartition, want $want")
+      ok
+    }
+  }
+
+  test("RECOPT's eager phase runs two Spark jobs, and its serve one more at the action") {
+    val (u, i) = ModelZoo.tiny(200, 60, 8, seed = 163, concentrated = true)
+    val (usersDf, itemsDf) = (SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1))
+    val sc = spark.sparkContext
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[Int]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = started.add(e.jobId)
+    }
+    sc.addSparkListener(listener)
+    try {
+      ListenerBusAccess.drain(sc)
+      started.clear()
+      val (df, _) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 3,
+        Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)), RecOptConfig(sampleFraction = 0.2))
+      ListenerBusAccess.drain(sc)
+      assert(started.size == 2, s"eager jobs ${started.asScala}: item collect and timing pass")
+      assert(df.collect().length == 600)
+      ListenerBusAccess.drain(sc)
+      assert(started.size == 3, s"jobs ${started.asScala}")
+    } finally sc.removeSparkListener(listener)
   }
 
   test("report: sample covers every user at fraction 1, waste is the losers' share") {
@@ -441,14 +508,6 @@ class SparkMipsSpec extends SparkSpec {
     val item = failure(SparkMips.topKAll(spark, users,
       itemsDf.withColumn("item_id", col("item_id").cast(IntegerType)), 2, new BruteForceMM()))
     assert(item.contains("column item_id has type int, expected bigint"), item)
-  }
-
-  test("topKAllWithRecOpt rejects more than Int.MaxValue users on the driver") {
-    val users = spark.range(Int.MaxValue.toLong + 1)
-      .select(col("id").as("user_id"), array(lit(1.0), lit(2.0), lit(3.0)).as("features"))
-    val e = intercept[IllegalArgumentException](
-      SparkMips.topKAllWithRecOpt(spark, users, itemsDf, 2, Seq(new LempIndex())))
-    assert(e.getMessage.contains("2147483648 users exceed 2147483647"))
   }
 }
 
