@@ -2,14 +2,16 @@ package repro.core
 
 /** A prepared (built) MIPS index or execution strategy over a fixed item set.
   *
-  * The two entrypoints mirror the paper's query settings:
+  * The entrypoints mirror the paper's query settings:
   *   - `query` serves one user (the point setting);
-  *   - `queryBatch` serves a block of users at once (the batch setting; the
-  *     blocked strategies — brute-force MM and RECDEX's shared head — only
-  *     reach full hardware efficiency here).
+  *   - `queryBatch` serves a block of users at once (the batch setting);
+  *   - `bind` fixes a block of users and serves any of its rows, by index
+  *     (what RECOPT times and serves with, §4.1).
   *
-  * All implementations are EXACT: `queryBatch(u, k)` must equal brute force
-  * up to floating-point rotation error (tested in `ExactnessSpec`).
+  * All implementations are EXACT: `queryBatch(u, k)` must return brute
+  * force's ids in (score desc, id asc) order. MM, LEMP and RECDEX return its
+  * score bits too; FEXIPRO's SVD rotation is held to a score tolerance
+  * (tested in `ExactnessSpec`).
   */
 trait PreparedMips extends Serializable {
   /** Exact top-K for a single user vector. */
@@ -22,6 +24,13 @@ trait PreparedMips extends Serializable {
     while (r < users.rows) { out(r) = query(users.row(r), r, k); r += 1 }
     out
   }
+
+  /** Binds the strategy to one fixed user `block`: the returned function
+    * serves rows of the block, by index, result i for `rows(i)`, with what
+    * the binding built (the paper's per-block construction cost C_I; RECDEX
+    * builds its user index here). By default it builds nothing. */
+  def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] =
+    rows => queryBatch(block.selectRows(rows), k)
 }
 
 /** A MIPS serving strategy: builds a [[PreparedMips]] from the item matrix.
@@ -32,22 +41,4 @@ trait PreparedMips extends Serializable {
 trait MipsSolver extends Serializable {
   def name: String
   def prepare(items: Matrix): PreparedMips
-}
-
-/** A strategy whose index is built over the *query users* as well as the
-  * items (RECDEX: k-means over users + per-cluster sorted lists). RECOPT
-  * (`RecOpt.timeBlock`, locally and on each Spark partition) builds the user
-  * index once over the whole block as a per-block construction cost, times
-  * only the walk, in chunks of the block's sample, and serves the rest of the
-  * block from the same index — the paper's C_I/Q_I accounting. Binding a
-  * candidate to the block is the one place RECOPT looks at this trait. */
-trait UserIndexedMips extends PreparedMips {
-  def buildUserIndex(users: Matrix): UserIndex
-}
-
-/** A user-side index built for one fixed user matrix. */
-trait UserIndex extends Serializable {
-  /** Exact top-K for a subset of the indexed users; result i corresponds to
-    * `rows(i)` (row indices into the matrix the index was built over). */
-  def querySubset(rows: Array[Int], k: Int): Array[TopKResult]
 }

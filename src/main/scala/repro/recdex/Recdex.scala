@@ -5,7 +5,7 @@ import repro.core._
 
 /** RECDEX — the paper's hardware-friendly exact MIPS index (§5).
   *
-  * Construction (Algorithm 1, ConstructIndex — [[RecdexPrepared.buildUserIndex]]):
+  * Construction (Algorithm 1, ConstructIndex — [[RecdexPrepared.buildUserIndexImpl]]):
   *  1. k-means the user vectors into C clusters (C=8 in the paper).
   *  2. Per cluster j, compute θ_bj = max_{u ∈ C_j} arccos(u·c_j / ‖u‖‖c_j‖),
   *     the worst user-centroid angular distortion.
@@ -42,9 +42,9 @@ import repro.core._
   * rounding slack ([[RecdexPrepared.boundSlack]]), against min(heap).
   *
   * RECDEX's index is built over the query users, so timing it on the sample
-  * alone would mis-measure it (§4.1). RECOPT (`RecOpt.timeBlock`, locally
-  * and on each Spark partition) builds the user index once over the whole
-  * block (construction cost C_I, via [[UserIndexedMips]]), times the walk
+  * alone would mis-measure it (§4.1). [[RecdexPrepared.bind]] builds it once
+  * over a whole block, so RECOPT (`RecOpt.timeBlock`, locally and on each
+  * Spark partition) times that build as construction cost C_I, times the walk
   * in chunks of the block's sample with the same t-test stop as every other
   * index, and serves the rest of the block from the same index.
   */
@@ -59,7 +59,7 @@ final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
 
 final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
                            kmeansSeed: Long, kmeansMaxIter: Int)
-    extends UserIndexedMips {
+    extends PreparedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
   /** Rounding slack of the CBound check per unit of user norm. */
@@ -78,7 +78,10 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
     buildUserIndexImpl(users).queryAll(k)
 
-  override def buildUserIndex(users: Matrix): UserIndex = buildUserIndexImpl(users)
+  override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = {
+    val index = buildUserIndexImpl(block)
+    index.querySubset(_, k)
+  }
 
   def buildUserIndexImpl(users: Matrix): RecdexUserIndex = {
     val n = items.rows
@@ -149,13 +152,15 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
       clusterOrder: Array[Array[Int]],
       clusterBounds: Array[Array[Double]],
       clusterChunks: Array[Array[Array[Array[Double]]]],
-  ) extends UserIndex {
+  ) {
 
     /** Exact top-K for every indexed user, row-aligned with the build matrix. */
     def queryAll(k: Int): Array[TopKResult] =
       queryImpl(Array.range(0, users.rows), k, shareBlocked = true, null)
 
-    override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
+    /** Exact top-K for the indexed user rows `rows`; result i belongs to
+      * `rows(i)`. */
+    def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
       queryImpl(rows, k, shareBlocked = true, null)
 
     /** Lesion hook (Fig. 8): query blocked (the serving path) or unblocked

@@ -2,15 +2,15 @@ package repro.recopt
 
 import scala.annotation.unused
 
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndexedMips}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
 import repro.stats.TTest
 
 /** Configuration for the RECOPT online optimizer (§4).
   *
   * @param sampleFraction fraction of users to time each strategy on (paper
   *                       uses 0.5–1%)
-  * @param l2CacheBytes   assumed L2 cache size; the MM sample is grown until
-  *                       the user block occupies at least 4x this (§4.1)
+  * @param l2CacheBytes   assumed L2 cache size; every candidate's sample is at
+  *                       least the users that fill 4x this (§4.1's floor)
   * @param seed           PRNG seed for the user sample
   */
 final case class RecOptConfig(
@@ -20,7 +20,7 @@ final case class RecOptConfig(
 )
 
 /** Per-strategy runtime estimate produced from the sample. `buildNanos` is
-  * the item-side build plus every block's user-side build. */
+  * the item-side build plus binding it to every block. */
 final case class StrategyEstimate(
     name: String,
     buildNanos: Long,
@@ -29,11 +29,11 @@ final case class StrategyEstimate(
     estTotalNanos: Double,
 )
 
-/** One strategy's work on one block: `fixedNanos` built its per-block index
-  * (RECDEX's user index; 0 for the others), and `nanos` is its busy time on
-  * the first `users` sampled rows, both on [[RecOpt.timeBlock]]'s clock.
-  * `results(i)` is sampled row i's top-K, or null where the t-test stopped
-  * before it. `serve` answers block rows, by index, with what was built. */
+/** One strategy's work on one block: `fixedNanos` bound it to the block
+  * (RECDEX's user index build; about 0 for the others), and `nanos` is its
+  * busy time on the first `users` sampled rows, both on [[RecOpt.timeBlock]]'s
+  * clock. `results(i)` is sampled row i's top-K, or null where the t-test
+  * stopped before it. `serve` is the binding, which answers block rows. */
 final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
                         val users: Int, val results: Array[TopKResult],
                         val serve: Array[Int] => Array[TopKResult]) {
@@ -61,14 +61,15 @@ final case class RecOptReport(
   *
   * Pipeline: (1) build every candidate index in full (construction is cheap
   * relative to traversal — Fig. 2); (2) on each block of users, bind every
-  * candidate to the block (RECDEX builds its user index over the whole
-  * block) and time it on a random user sample big enough to exhibit
-  * cache-blocking behaviour (≥ 4x L2), in chunks, stopping an index early
-  * once a t-test separates it from MM ([[timeBlock]]); (3) extrapolate each
-  * strategy's total runtime, pick the minimum ([[report]]); (4) keep the
-  * winner's sampled results and serve the rest of each block with what the
-  * winner built for it ([[reuseSample]]). Local [[serveAll]] runs this on
-  * one block, the whole user matrix; Spark on each user partition.
+  * candidate to the block (RECDEX builds its user index over it) and time it
+  * in chunks on a random user sample, the same for every candidate and no
+  * smaller than the users that fill 4x L2 (§4.1's floor, [[sampleSize]]),
+  * stopping an index early once a t-test separates it from MM
+  * ([[timeBlock]]); (3) extrapolate each strategy's total runtime, pick the
+  * minimum ([[report]]); (4) keep the winner's sampled results and serve the
+  * rest of each block with what the winner built for it ([[reuseSample]]).
+  * Local [[serveAll]] runs this on one block, the whole user matrix; Spark
+  * on each user partition.
   */
 object RecOpt {
 
@@ -132,12 +133,11 @@ object RecOpt {
 
   /** The sample-timing kernel, run once per block of users: the local
     * `serveAll` on the whole user matrix, Spark on each partition.
-    * Every candidate is first bound to the block: a [[UserIndexedMips]]
-    * builds its user index over the whole block (the block's fixed cost) and
-    * serves rows from it, any other serves rows with `queryBatch`. Then each
-    * candidate serves the `sampled` rows in order, [[ChunkUsers]] per timed
-    * call, timed like the user-index build on the thread's CPU time
-    * ([[busyNanos]]). MM, which `candidates` must start with, serves them
+    * Every candidate is first bound to the block (`PreparedMips.bind`, the
+    * block's fixed cost: RECDEX builds its user index over the whole block).
+    * Then each candidate's binding serves the `sampled` rows in order,
+    * [[ChunkUsers]] per timed call, timed like the bind on the thread's CPU
+    * time ([[busyNanos]]). MM, which `candidates` must start with, serves them
     * all; its per-user mean is the baseline. Every other candidate stops
     * once, after at least [[MinTTestUsers]] users and two chunks (the t-test
     * needs two values), a one-sample t-test of its per-user cost per chunk
@@ -149,13 +149,9 @@ object RecOpt {
     require(n > 0, "cannot time an empty sample")
     require(candidates.headOption.exists(_._1 == "MM"), "the first candidate must be MM")
     def time(name: String, prep: PreparedMips, mmPerUser: Option[Double]): BlockTiming = {
-      val (fixed, serve): (Long, Array[Int] => Array[TopKResult]) = prep match {
-        case ui: UserIndexedMips =>
-          val b0 = busyNanos()
-          val index = ui.buildUserIndex(block)
-          (busyNanos() - b0, index.querySubset(_, k))
-        case _ => (0L, rows => prep.queryBatch(block.selectRows(rows), k))
-      }
+      val b0 = busyNanos()
+      val serve = prep.bind(block, k)
+      val fixed = busyNanos() - b0
       val results = new Array[TopKResult](n)
       val perUser = new TTest.Running
       var busy = 0L
@@ -203,11 +199,14 @@ object RecOpt {
   }
 
   /** Build every candidate, time it on the `sampled` rows of `block` and
-    * decide, extrapolating to `totalUsers`. */
+    * decide, extrapolating to `totalUsers`. Fails before building anything
+    * if `block` is empty or its dimension differs from the items'. */
   private def decideOn(block: Matrix, sampled: Array[Int], items: Matrix, k: Int,
                        indexSolvers: Seq[MipsSolver], totalUsers: Long)
       : (RecOptReport, Seq[BlockTiming]) = {
     val t0 = System.nanoTime()
+    require(block.cols == items.cols, s"users have ${block.cols} features, items have ${items.cols}")
+    require(block.rows > 0, "user matrix is empty: nothing to serve")
     val candidates = buildCandidates(items, indexSolvers)
     val timings = timeBlock(block, sampled, k, candidates.map { case (name, prep, _) => name -> prep })
     (report(candidates.map { case (name, _, build) => name -> build }, timings.map(_.cost),

@@ -108,6 +108,10 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  checkProp("property: MM exact on random shapes", minTests = 30) {
+    exactProp(new BruteForceMM(), Identical)
+  }
+
   checkProp("property: LEMP exact on random shapes", minTests = 30) {
     exactProp(new LempIndex(bucketSize = 16, prefixStep = 4), 1e-9)
   }
@@ -182,6 +186,9 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     if (tol == Identical) assertIdentical(got, expect, context)
     else assertSame(got, expect, tol, context)
 
+  /** `solver`'s batch query agrees with brute force within `tol`, and its
+    * binding to the users serves the empty subset and a shuffled random
+    * subset of rows with the batch query's ids and score bits at those rows. */
   private def exactProp(solver: MipsSolver, tol: Double): Prop =
     Prop.forAll(Gen.choose(2, 40), Gen.choose(2, 40), Gen.choose(2, 12),
       Gen.choose(1, 8), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
@@ -189,8 +196,16 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val users = Matrix.randn(nu, f, seed)
       val items = Matrix.randn(ni, f, seed + 1)
       val expect = bruteForce(users, items, k)
-      val got = solver.prepare(items).queryBatch(users, k)
-      try { check(got, expect, tol, solver.name); true }
-      catch { case e: Throwable => println(e.getMessage); false }
+      val prepared = solver.prepare(items)
+      val got = prepared.queryBatch(users, k)
+      val rng = new scala.util.Random(seed)
+      val subset = rng.shuffle((0 until nu).toVector).take(rng.nextInt(nu + 1)).toArray
+      val serve = prepared.bind(users, k)
+      try {
+        check(got, expect, tol, solver.name)
+        for (rows <- Seq(Array.empty[Int], subset))
+          assertIdentical(serve(rows), rows.map(got), s"${solver.name} bind rows ${rows.toSeq}")
+        true
+      } catch { case e: Throwable => println(e.getMessage); false }
     }
 }

@@ -3,8 +3,7 @@ package repro.recopt
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult, UserIndex,
-  UserIndexedMips}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -111,17 +110,40 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(report.wastedNanos == 0L)
   }
 
+  /** A LEMP index that counts its builds. */
+  private final class CountingPrepares extends MipsSolver {
+    var prepares = 0
+    override def name: String = "LEMP"
+    override def prepare(items: Matrix): PreparedMips = { prepares += 1; new LempIndex().prepare(items) }
+  }
+
+  for ((label, users, message) <- Seq(
+      ("users with more features than the items", Matrix.randn(200, 12, seed = 3),
+        "users have 12 features, items have 8"),
+      ("users with fewer features than the items", Matrix.randn(200, 4, seed = 3),
+        "users have 4 features, items have 8"),
+      ("an empty user matrix", new Matrix(0, 8, Array.empty[Double]), "user matrix is empty")))
+    test(s"RECOPT rejects $label before building an index") {
+      val items = Matrix.randn(30, 8, seed = 5)
+      val solver = new CountingPrepares
+      for (call <- Seq[() => Any](() => RecOpt.serveAll(users, items, 3, Seq(solver)),
+          () => RecOpt.estimate(users, items, 3, Seq(solver), totalUsers = 100))) {
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(message), e.getMessage)
+      }
+      assert(solver.prepares == 0, "an index was built before the inputs were checked")
+    }
+
   test("estimate extrapolates per-user cost to the population") {
     val (users, items) = ModelZoo.tiny(200, 80, 8, seed = 71)
     val sample = users.sliceRows(0, 50)
     val out = RecOpt.estimate(sample, items, 3, Seq(new LempIndex(bucketSize = 32)),
       totalUsers = 200, RecOptConfig())
-    val mm = out.estimates.find(_.name == "MM").get
-    // estTotal = perUser * totalUsers exactly, by construction
-    assert(math.abs(mm.estTotalNanos - mm.perUserNanos * 200) < 1e-6 * mm.estTotalNanos + 1)
-    val lemp = out.estimates.find(_.name == "LEMP").get
-    assert(math.abs(lemp.estTotalNanos - (lemp.buildNanos + lemp.perUserNanos * 200)) <
-      1e-6 * lemp.estTotalNanos + 1)
+    // estTotal = build + perUser * totalUsers exactly, by construction
+    out.estimates.foreach { e =>
+      assert(math.abs(e.estTotalNanos - (e.buildNanos + e.perUserNanos * 200)) <
+        1e-6 * e.estTotalNanos + 1, e.name)
+    }
     assert(out.estimates.map(_.name) == Seq("MM", "LEMP"))
   }
 
@@ -166,24 +188,24 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(out.chosen == "MM")
   }
 
-  /** A user-indexed strategy that spins `delayNanos` per user it serves and
+  /** A strategy whose binding spins `delayNanos` per user it serves and
     * records the rows of every call. */
-  private final class SlowUserIndexed(items: Matrix, delayNanos: Long) extends UserIndexedMips {
+  private final class SlowBound(items: Matrix, delayNanos: Long) extends PreparedMips {
     var calls = Seq.empty[Seq[Int]]
     private val mm = new BruteForceMM().prepare(items)
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult = mm.query(user, userId, k)
-    override def buildUserIndex(users: Matrix): UserIndex = (rows: Array[Int], k: Int) => {
+    override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = rows => {
       calls :+= rows.toSeq
       val end = System.nanoTime() + delayNanos * rows.length
       while (System.nanoTime() < end) {}
-      mm.queryBatch(users.selectRows(rows), k)
+      mm.queryBatch(block.selectRows(rows), k)
     }
   }
 
   test("a clearly slower user-indexed strategy stops early and MM is chosen") {
     val (users, items) = ModelZoo.tiny(400, 50, 8, seed = 79)
     val sampleIdx = Array.range(0, 400).filter(_ % 2 == 1)
-    val slow = new SlowUserIndexed(items, 1000000L) // 1 ms per user, ~1000x MM's
+    val slow = new SlowBound(items, 1000000L) // 1 ms per user, ~1000x MM's
     val Seq(mm, rd) = RecOpt.timeBlock(users, sampleIdx, 3,
       Seq("MM" -> new BruteForceMM().prepare(items), "SLOW" -> slow))
     assert(mm.users == 200)
@@ -206,9 +228,9 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val sampleIdx = Array.range(0, 4 * RecOpt.ChunkUsers)
     val mm = new BruteForceMM().prepare(items)
     // serves like MM, but its thread sleeps 10 ms in every timed call
-    val sleepy = new UserIndexedMips {
+    val sleepy = new PreparedMips {
       override def query(user: Array[Double], userId: Int, k: Int): TopKResult = mm.query(user, userId, k)
-      override def buildUserIndex(block: Matrix): UserIndex = (rows: Array[Int], k: Int) => {
+      override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = rows => {
         Thread.sleep(10)
         mm.queryBatch(block.selectRows(rows), k)
       }
@@ -222,7 +244,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       "(C_I accounting) when the full user matrix is supplied") {
     val (users, items) = ModelZoo.tiny(400, 100, 8, seed = 97, concentrated = true)
     val sampleIdx = Array(5, 50, 120, 200, 333, 390)
-    val recdex = new CountingUserIndexed(new RecdexPrepared(items, numClusters = 3, blockSize = 8,
+    val recdex = new CountingBinds(new RecdexPrepared(items, numClusters = 3, blockSize = 8,
       kmeansSeed = 42, kmeansMaxIter = 20))
     val mm = new BruteForceMM().prepare(items)
     val Seq(_, rd) = RecOpt.timeBlock(users, sampleIdx, 3, Seq("MM" -> mm, "RECDEX" -> recdex))
@@ -246,15 +268,15 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  /** Records the row count of every user matrix it builds a user index over. */
-  private final class CountingUserIndexed(inner: UserIndexedMips)
-      extends UserIndexedMips {
+  /** Records the row count of every block it is bound to (for RECDEX, every
+    * user index build). */
+  private final class CountingBinds(inner: PreparedMips) extends PreparedMips {
     var builtOver = Seq.empty[Int]
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
       inner.query(user, userId, k)
-    override def buildUserIndex(users: Matrix): UserIndex = {
-      builtOver :+= users.rows
-      inner.buildUserIndex(users)
+    override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = {
+      builtOver :+= block.rows
+      inner.bind(block, k)
     }
   }
 

@@ -11,8 +11,7 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropSupport, SparkSpec}
-import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult, UserIndex,
-  UserIndexedMips}
+import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
 import repro.lemp.LempIndex
 import repro.mf.ModelZoo
 import repro.mips.SolverTestSupport
@@ -145,10 +144,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     override def name: String = inner.name
     override def prepare(items: Matrix): PreparedMips = {
       prepares += 1
-      inner.prepare(items) match {
-        case ui: UserIndexedMips => new SparkMipsSpec.CountingUserIndexed(name, ui)
-        case prep => new SparkMipsSpec.CountingPrepared(name, prep)
-      }
+      new SparkMipsSpec.CountingPrepared(name, inner.prepare(items))
     }
   }
 
@@ -512,19 +508,19 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
 }
 
 object SparkMipsSpec {
-  /** Users passed to `query`/`queryBatch`/`querySubset`, per strategy name.
-    * Global, like the counters below, since the executors run copies of the
-    * broadcast strategies. */
+  /** Users passed to `query`/`queryBatch` or to a binding, per strategy
+    * name. Global, like the counters below, since the executors run copies
+    * of the broadcast strategies. */
   val queried = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
   /** `queryBatch` calls, per strategy name. */
   val batchCalls = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
-  /** `buildUserIndex` calls, per strategy name. */
+  /** `bind` calls, per strategy name: for RECDEX, user index builds. */
   val userIndexBuilds = new java.util.concurrent.ConcurrentHashMap[String, AtomicLong]()
 
   private def add(counter: java.util.Map[String, AtomicLong], name: String, n: Long): Unit =
     counter.computeIfAbsent(name, _ => new AtomicLong()).addAndGet(n)
 
-  class CountingPrepared(name: String, inner: PreparedMips) extends PreparedMips {
+  final class CountingPrepared(name: String, inner: PreparedMips) extends PreparedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult = {
       add(queried, name, 1)
       inner.query(user, userId, k)
@@ -534,42 +530,30 @@ object SparkMipsSpec {
       add(batchCalls, name, 1)
       inner.queryBatch(users, k)
     }
-  }
-
-  /** [[CountingPrepared]] that also counts user index builds and the users
-    * each built index serves. */
-  final class CountingUserIndexed(name: String, inner: UserIndexedMips)
-      extends CountingPrepared(name, inner) with UserIndexedMips {
-    override def buildUserIndex(users: Matrix): UserIndex = {
+    /** Binds `inner`, so its own binding (RECDEX's user index) serves. */
+    override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = {
       add(userIndexBuilds, name, 1)
-      val index = inner.buildUserIndex(users)
-      new UserIndex {
-        override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
-          add(queried, name, rows.length)
-          index.querySubset(rows, k)
-        }
-      }
+      val serve = inner.bind(block, k)
+      rows => { add(queried, name, rows.length); serve(rows) }
     }
   }
 
-  /** Ids (first features) of the users each `querySubset` call of
-    * [[RecordingPrepared]] served, in call order. */
+  /** Ids (first features) of the users each call of a [[RecordingPrepared]]
+    * binding served, in call order. */
   val timedCalls = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Long]]()
 
-  /** A user-indexed strategy that records the first feature of every user
-    * its index serves and spins 100 ms per call (RECOPT times busy CPU time,
-    * which a sleep would not add to), so RECOPT never picks it and the t-test
-    * may stop it after two chunks. */
-  final class RecordingPrepared(inner: PreparedMips) extends UserIndexedMips {
+  /** A strategy whose binding records the first feature of every user it
+    * serves and spins 100 ms per call (RECOPT times busy CPU time, which a
+    * sleep would not add to), so RECOPT never picks it and the t-test may
+    * stop it after two chunks. */
+  final class RecordingPrepared(inner: PreparedMips) extends PreparedMips {
     override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
       inner.query(user, userId, k)
-    override def buildUserIndex(users: Matrix): UserIndex = new UserIndex {
-      override def querySubset(rows: Array[Int], k: Int): Array[TopKResult] = {
-        timedCalls.add(rows.toSeq.map(r => users(r, 0).toLong))
-        val end = System.nanoTime() + 100000000L
-        while (System.nanoTime() < end) {}
-        inner.queryBatch(users.selectRows(rows), k)
-      }
+    override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = rows => {
+      timedCalls.add(rows.toSeq.map(r => block(r, 0).toLong))
+      val end = System.nanoTime() + 100000000L
+      while (System.nanoTime() < end) {}
+      inner.queryBatch(block.selectRows(rows), k)
     }
   }
 }
