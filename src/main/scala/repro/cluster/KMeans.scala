@@ -54,7 +54,7 @@ object KMeans {
 
   /** Cluster the rows of `points` into `k` clusters. */
   def fit(points: Matrix, k: Int, seed: Long = 42, maxIter: Int = 25): KMeansResult = {
-    require(k >= 1, s"k must be >= 1, got $k")
+    require(k >= 1, s"cluster count must be >= 1, got $k")
     val n = points.rows
     val f = points.cols
     val kk = math.min(k, n)

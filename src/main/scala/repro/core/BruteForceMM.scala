@@ -4,9 +4,10 @@ package repro.core
   *
   * `prepare` stores the items dimension-major once; each user is then scored
   * against every item with the vectorized [[Gemm.dotsInto]] into one reused
-  * |I|-long row, and its top-K taken from that row with a bounded heap (the
-  * paper's "priority queue" step, whose cost varies with K). Scores equal
-  * `Matrix.rowDot` bit for bit.
+  * |I|-long row, and its top-K taken from that row by [[TopK.ofMatrixRow]]
+  * (the paper's "priority queue" step, whose cost varies with K): a bounded
+  * heap, or at K ≥ |I| / [[TopK.SelectRowsPerK]] a bucket select with the
+  * heap's result. Scores equal `Matrix.rowDot` bit for bit.
   */
 final class BruteForceMM extends MipsSolver {
   override def name: String = "MM"

@@ -75,13 +75,17 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
     queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 
+  /** An empty user matrix has nothing to cluster; it gets no results, as
+    * from the other solvers. */
   override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
-    buildUserIndexImpl(users).queryAll(k)
+    if (users.rows == 0) Array.empty else buildUserIndexImpl(users).queryAll(k)
 
-  override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = {
-    val index = buildUserIndexImpl(block)
-    index.querySubset(_, k)
-  }
+  override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] =
+    if (block.rows == 0) super.bind(block, k)
+    else {
+      val index = buildUserIndexImpl(block)
+      index.querySubset(_, k)
+    }
 
   def buildUserIndexImpl(users: Matrix): RecdexUserIndex = {
     val n = items.rows

@@ -207,6 +207,7 @@ object RecOpt {
     val t0 = System.nanoTime()
     require(block.cols == items.cols, s"users have ${block.cols} features, items have ${items.cols}")
     require(block.rows > 0, "user matrix is empty: nothing to serve")
+    require(k >= 1, s"k must be >= 1, got $k")
     val candidates = buildCandidates(items, indexSolvers)
     val timings = timeBlock(block, sampled, k, candidates.map { case (name, prep, _) => name -> prep })
     (report(candidates.map { case (name, _, build) => name -> build }, timings.map(_.cost),

@@ -11,7 +11,8 @@ class KMeansSpec extends AnyFunSuite with PropSupport {
     a.zip(b).map { case (x, y) => (x - y) * (x - y) }.sum
 
   test("rejects k < 1") {
-    assertThrows[IllegalArgumentException](KMeans.fit(Matrix.zeros(3, 2), 0))
+    val e = intercept[IllegalArgumentException](KMeans.fit(Matrix.zeros(3, 2), 0))
+    assert(e.getMessage.contains("cluster count must be >= 1, got 0"), e.getMessage)
   }
 
   test("k > n collapses to n clusters without error") {

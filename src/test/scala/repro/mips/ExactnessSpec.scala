@@ -188,7 +188,9 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
 
   /** `solver`'s batch query agrees with brute force within `tol`, and its
     * binding to the users serves the empty subset and a shuffled random
-    * subset of rows with the batch query's ids and score bits at those rows. */
+    * subset of rows with the batch query's ids and score bits at those rows.
+    * A user matrix with no rows gets no results, from the batch query and
+    * from a binding to it. */
   private def exactProp(solver: MipsSolver, tol: Double): Prop =
     Prop.forAll(Gen.choose(2, 40), Gen.choose(2, 40), Gen.choose(2, 12),
       Gen.choose(1, 8), Gen.choose(0L, 5000L)) { (nu, ni, f, k0, seed) =>
@@ -201,10 +203,13 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
       val rng = new scala.util.Random(seed)
       val subset = rng.shuffle((0 until nu).toVector).take(rng.nextInt(nu + 1)).toArray
       val serve = prepared.bind(users, k)
+      val noUsers = users.sliceRows(0, 0)
       try {
         check(got, expect, tol, solver.name)
         for (rows <- Seq(Array.empty[Int], subset))
           assertIdentical(serve(rows), rows.map(got), s"${solver.name} bind rows ${rows.toSeq}")
+        assert(prepared.queryBatch(noUsers, k).isEmpty, s"${solver.name}: results for no users")
+        assert(prepared.bind(noUsers, k)(Array.empty).isEmpty, s"${solver.name}: bound to no users")
         true
       } catch { case e: Throwable => println(e.getMessage); false }
     }

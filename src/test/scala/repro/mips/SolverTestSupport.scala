@@ -1,14 +1,20 @@
 package repro.mips
 
-import repro.core.{Gemm, Matrix, TopK, TopKResult}
+import repro.core.{Gemm, Matrix, TopKHeap, TopKResult}
 
 /** Shared reference implementation + comparison helpers for solver tests. */
 object SolverTestSupport {
 
-  /** Ground truth: naive full scoring + heap extraction. */
+  /** Ground truth: naive full scoring, every score of a row offered to a
+    * bounded heap in id order (not `TopK.ofMatrixRow`, whose select path is
+    * under test). */
   def bruteForce(users: Matrix, items: Matrix, k: Int): Array[TopKResult] = {
     val scores = Gemm.abtNaive(users, items)
-    Array.tabulate(users.rows)(r => TopK.ofMatrixRow(scores, r, k))
+    Array.tabulate(users.rows) { r =>
+      val h = new TopKHeap(k)
+      (0 until scores.cols).foreach(j => h.offer(scores(r, j), j))
+      h.result()
+    }
   }
 
   /** Assert `got` matches `expect` per user. Ids must agree except where the

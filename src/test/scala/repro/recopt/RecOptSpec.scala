@@ -117,17 +117,18 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     override def prepare(items: Matrix): PreparedMips = { prepares += 1; new LempIndex().prepare(items) }
   }
 
-  for ((label, users, message) <- Seq(
-      ("users with more features than the items", Matrix.randn(200, 12, seed = 3),
+  for ((label, users, k, message) <- Seq(
+      ("users with more features than the items", Matrix.randn(200, 12, seed = 3), 3,
         "users have 12 features, items have 8"),
-      ("users with fewer features than the items", Matrix.randn(200, 4, seed = 3),
+      ("users with fewer features than the items", Matrix.randn(200, 4, seed = 3), 3,
         "users have 4 features, items have 8"),
-      ("an empty user matrix", new Matrix(0, 8, Array.empty[Double]), "user matrix is empty")))
+      ("an empty user matrix", new Matrix(0, 8, Array.empty[Double]), 3, "user matrix is empty"),
+      ("k = 0", Matrix.randn(200, 8, seed = 3), 0, "k must be >= 1, got 0")))
     test(s"RECOPT rejects $label before building an index") {
       val items = Matrix.randn(30, 8, seed = 5)
       val solver = new CountingPrepares
-      for (call <- Seq[() => Any](() => RecOpt.serveAll(users, items, 3, Seq(solver)),
-          () => RecOpt.estimate(users, items, 3, Seq(solver), totalUsers = 100))) {
+      for (call <- Seq[() => Any](() => RecOpt.serveAll(users, items, k, Seq(solver)),
+          () => RecOpt.estimate(users, items, k, Seq(solver), totalUsers = 100))) {
         val e = intercept[IllegalArgumentException](call())
         assert(e.getMessage.contains(message), e.getMessage)
       }
