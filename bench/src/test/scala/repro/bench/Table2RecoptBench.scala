@@ -29,11 +29,7 @@ class Table2RecoptBench extends AnyFunSuite {
     println()
     println("=" * 100)
     println(s"Table 2 (measured, ${combos.size} model/top-K combinations)")
-    println(f"${"Optimizer Choices"}%-20s ${"Acc%"}%7s ${"AvgOvh%"}%8s ${"SdOvh%"}%7s ${"IdxOnly"}%8s ${"RECOPT"}%8s ${"Oracle"}%8s")
-    rows.foreach { r =>
-      val idx = r.indexOnlyVsLemp.map(v => f"$v%.2fx").getOrElse("-")
-      println(f"${r.pairing}%-20s ${r.accuracyPct}%6.1f%% ${r.avgOverheadPct}%7.1f%% ${r.stdDevOverheadPct}%6.1f%% $idx%8s ${r.recoptVsLemp}%7.2fx ${r.oracleVsLemp}%7.2fx")
-    }
+    Sweep.table2Lines(rows).foreach(println)
     println("=" * 100)
 
     rows.foreach { r =>

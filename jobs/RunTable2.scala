@@ -9,11 +9,7 @@ object RunTable2 {
   def main(args: Array[String]): Unit = {
     val combos = Sweep.results
     println("Table 2: Effectiveness of the online optimizer (measured)")
-    println(f"${"Optimizer Choices"}%-20s ${"Acc%"}%6s ${"AvgOvh%"}%8s ${"SdOvh%"}%7s ${"IdxOnly"}%8s ${"RECOPT"}%8s ${"Oracle"}%8s")
-    Sweep.table2(combos).foreach { r =>
-      val idx = r.indexOnlyVsLemp.map(v => f"$v%.2fx").getOrElse("-")
-      println(f"${r.pairing}%-20s ${r.accuracyPct}%5.1f%% ${r.avgOverheadPct}%7.1f%% ${r.stdDevOverheadPct}%6.1f%% ${idx}%8s ${r.recoptVsLemp}%7.2fx ${r.oracleVsLemp}%7.2fx")
-    }
+    Sweep.table2Lines(Sweep.table2(combos)).foreach(println)
     val agg = Sweep.endToEndAggregates(combos)
     println(f"\nFig. 6 aggregates: RECDEX vs LEMP avg=${agg.recdexVsLempAvg}%.2fx max=${agg.recdexVsLempMax}%.2fx; " +
       f"RECDEX vs FEXIPRO-SI avg=${agg.recdexVsFexSiAvg}%.2fx; MM faster than RECDEX in ${agg.mmFasterThanRecdexPct}%.1f%% of combos; " +

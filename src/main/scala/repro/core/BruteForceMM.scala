@@ -2,12 +2,12 @@ package repro.core
 
 /** Brute-force matrix multiply top-K — the paper's "MM" strategy.
   *
-  * `prepare` stores the items dimension-major once; each user is then scored
-  * against every item with the vectorized [[Gemm.dotsInto]] into one reused
-  * |I|-long row, and its top-K taken from that row by [[TopK.ofMatrixRow]]
-  * (the paper's "priority queue" step, whose cost varies with K): a bounded
-  * heap, or at K ≥ |I| / [[TopK.SelectRowsPerK]] a bucket select with the
-  * heap's result. Scores equal `Matrix.rowDot` bit for bit.
+  * `prepare` stores the items dimension-major once; each user is then scored,
+  * in place in its block, against every item with the vectorized
+  * [[Gemm.dotsInto]] into an |I|-long row reused within one call, and its
+  * top-K taken from that row by [[TopK.ofMatrixRow]] (the paper's "priority
+  * queue" step, whose cost varies with K): a bounded heap, or at
+  * K ≥ |I| / [[TopK.SelectRowsPerK]] a bucket select with the heap's result. Scores equal `Matrix.rowDot` bit for bit.
   */
 final class BruteForceMM extends MipsSolver {
   override def name: String = "MM"
@@ -24,9 +24,9 @@ final class BruteForcePrepared(items: Matrix) extends PreparedMips {
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
     topK(user, 0, new Matrix(1, numItems, new Array[Double](numItems)), k)
 
-  override def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
+  override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] = rows => {
     val row = new Matrix(1, numItems, new Array[Double](numItems))
-    Array.tabulate(users.rows)(r => topK(users.data, r * users.cols, row, k))
+    rows.map(r => topK(block.data, r * block.cols, row, k))
   }
 
   private def topK(v: Array[Double], vOff: Int, row: Matrix, k: Int): TopKResult = {

@@ -4,9 +4,14 @@ package repro.core
   *
   * The entrypoints mirror the paper's query settings:
   *   - `query` serves one user (the point setting);
-  *   - `queryBatch` serves a block of users at once (the batch setting);
   *   - `bind` fixes a block of users and serves any of its rows, by index
-  *     (what RECOPT times and serves with, §4.1).
+  *     (the batch setting, and what RECOPT times and serves with, §4.1);
+  *   - `queryBatch` serves every row of a block through `bind`.
+  *
+  * A solver implements `query` and, if it serves a block better than user by
+  * user, overrides `bind`; no solver overrides `queryBatch`. A binding may be
+  * called from several threads at once (two Spark actions can serve the same
+  * cached block), so it keeps no scratch of its own across calls.
   *
   * All implementations are EXACT: `queryBatch(u, k)` must return brute
   * force's ids in (score desc, id asc) order. MM, LEMP and RECDEX return its
@@ -18,19 +23,16 @@ trait PreparedMips extends Serializable {
   def query(user: Array[Double], userId: Int, k: Int): TopKResult
 
   /** Exact top-K for every row of `users`; result i corresponds to row i. */
-  def queryBatch(users: Matrix, k: Int): Array[TopKResult] = {
-    val out = new Array[TopKResult](users.rows)
-    var r = 0
-    while (r < users.rows) { out(r) = query(users.row(r), r, k); r += 1 }
-    out
-  }
+  def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
+    bind(users, k)(Array.range(0, users.rows))
 
   /** Binds the strategy to one fixed user `block`: the returned function
     * serves rows of the block, by index, result i for `rows(i)`, with what
     * the binding built (the paper's per-block construction cost C_I; RECDEX
-    * builds its user index here). By default it builds nothing. */
+    * builds its user index here). By default it builds nothing and serves
+    * each row with `query`. */
   def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] =
-    rows => queryBatch(block.selectRows(rows), k)
+    rows => rows.map(r => query(block.row(r), r, k))
 }
 
 /** A MIPS serving strategy: builds a [[PreparedMips]] from the item matrix.

@@ -162,6 +162,14 @@ object Sweep {
       Table2Row(pname, acc, ov.mean, ov.stdDev, indexOnly, recoptSp, oracleSp)
     }
 
+  /** Table 2 as text, a header line and a line per pairing: the one format every caller prints. */
+  def table2Lines(rows: Seq[Table2Row]): Seq[String] =
+    f"${"Optimizer Choices"}%-20s ${"Acc%"}%7s ${"AvgOvh%"}%8s ${"SdOvh%"}%7s ${"IdxOnly"}%8s ${"RECOPT"}%8s ${"Oracle"}%8s" +:
+      rows.map { r =>
+        val idx = r.indexOnlyVsLemp.fold("-")(v => f"$v%.2fx")
+        f"${r.pairing}%-20s ${r.accuracyPct}%6.1f%% ${r.avgOverheadPct}%7.1f%% ${r.stdDevOverheadPct}%6.1f%% $idx%8s ${r.recoptVsLemp}%7.2fx ${r.oracleVsLemp}%7.2fx"
+      }
+
   // ---- Fig. 6 text aggregates ----
 
   final case class EndToEndAggregates(

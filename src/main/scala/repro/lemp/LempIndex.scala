@@ -24,6 +24,9 @@ import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
   * by a rounding slack, is strictly below the admission threshold.
   */
 final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extends MipsSolver {
+  require(bucketSize >= 1, s"bucketSize must be >= 1, got $bucketSize")
+  require(prefixStep >= 1, s"prefixStep must be >= 1, got $prefixStep")
+
   override def name: String = "LEMP"
 
   override def prepare(items: Matrix): PreparedMips = {

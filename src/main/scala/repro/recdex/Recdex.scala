@@ -42,24 +42,26 @@ import repro.core._
   * rounding slack ([[RecdexPrepared.boundSlack]]), against min(heap).
   *
   * RECDEX's index is built over the query users, so timing it on the sample
-  * alone would mis-measure it (§4.1). [[RecdexPrepared.bind]] builds it once
-  * over a whole block, so RECOPT (`RecOpt.timeBlock`, locally and on each
-  * Spark partition) times that build as construction cost C_I, times the walk
-  * in chunks of the block's sample with the same t-test stop as every other
-  * index, and serves the rest of the block from the same index.
+  * alone would mis-measure it (§4.1). [[RecdexPrepared.bind]], RECDEX's one
+  * batch entrypoint, builds it once over a whole block, so RECOPT
+  * (`RecOpt.onBlock`, locally and on each Spark partition) times that build
+  * as construction cost C_I, times the walk in chunks of the block's sample
+  * with the same t-test stop as every other index, and serves the rest of
+  * the block from the same index.
   */
-final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096,
-                   val kmeansSeed: Long = 42, val kmeansMaxIter: Int = 20)
-    extends MipsSolver {
+final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096) extends MipsSolver {
+  require(numClusters >= 1, s"numClusters must be >= 1, got $numClusters")
+
+  /** The k-means seed and iteration cap of every user index build. */
+  val kmeansSeed: Long = RecdexPrepared.KMeansSeed
+  val kmeansMaxIter: Int = RecdexPrepared.KMeansMaxIter
+
   override def name: String = "RECDEX"
 
-  override def prepare(items: Matrix): PreparedMips =
-    new RecdexPrepared(items, numClusters, blockSize, kmeansSeed, kmeansMaxIter)
+  override def prepare(items: Matrix): PreparedMips = new RecdexPrepared(items, numClusters, blockSize)
 }
 
-final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
-                           kmeansSeed: Long, kmeansMaxIter: Int)
-    extends PreparedMips {
+final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int) extends PreparedMips {
 
   private val itemNorms: Array[Double] = items.rowNorms
   /** Rounding slack of the CBound check per unit of user norm. */
@@ -75,11 +77,9 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
   override def query(user: Array[Double], userId: Int, k: Int): TopKResult =
     queryBatch(Matrix.fromRows(Seq(user)), k)(0)
 
-  /** An empty user matrix has nothing to cluster; it gets no results, as
-    * from the other solvers. */
-  override def queryBatch(users: Matrix, k: Int): Array[TopKResult] =
-    if (users.rows == 0) Array.empty else buildUserIndexImpl(users).queryAll(k)
-
+  /** Builds the user index over the whole block once and walks it for the
+    * requested rows. An empty block has nothing to cluster; it serves no
+    * rows, as the other solvers do. */
   override def bind(block: Matrix, k: Int): Array[Int] => Array[TopKResult] =
     if (block.rows == 0) super.bind(block, k)
     else {
@@ -91,7 +91,8 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
     val n = items.rows
 
     // --- ConstructIndex: cluster users ---
-    val km = KMeans.fit(users, math.min(numClusters, users.rows), kmeansSeed, kmeansMaxIter)
+    val km = KMeans.fit(users, math.min(numClusters, users.rows), RecdexPrepared.KMeansSeed,
+      RecdexPrepared.KMeansMaxIter)
     val centroids = km.centroids
     val nC = centroids.rows
 
@@ -264,6 +265,10 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int,
 }
 
 object RecdexPrepared {
+
+  /** Seed and iteration cap of the user index's k-means. */
+  private[recdex] val KMeansSeed = 42L
+  private[recdex] val KMeansMaxIter = 20
 
   /** Items per chunk of a cluster list after the head, chosen from 64 and
     * 128 by measuring both benchmark workloads (EXPERIMENTS.md "Chunked

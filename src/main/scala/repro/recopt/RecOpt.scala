@@ -1,7 +1,5 @@
 package repro.recopt
 
-import scala.annotation.unused
-
 import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
 import repro.stats.TTest
 
@@ -34,11 +32,36 @@ final case class StrategyEstimate(
   * busy time on the first `users` sampled rows, both on [[RecOpt.timeBlock]]'s
   * clock. `results(i)` is sampled row i's top-K, or null where the t-test
   * stopped before it. `serve` is the binding, which answers block rows. */
-final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
-                        val users: Int, val results: Array[TopKResult],
-                        val serve: Array[Int] => Array[TopKResult]) {
+private[recopt] final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
+                                        val users: Int, val results: Array[TopKResult],
+                                        val serve: Array[Int] => Array[TopKResult]) {
   /** What [[RecOpt.report]] sums: `(name, fixedNanos, nanos, users)`. */
   def cost: (String, Long, Long, Int) = (name, fixedNanos, nanos, users)
+}
+
+/** One block of users after [[RecOpt.onBlock]] timed the candidates on it:
+  * its row count, its sampled rows and each candidate's timing and binding. */
+final class TimedBlock private[recopt] (val rows: Int, val sampled: Array[Int],
+                                        private var timings: Seq[BlockTiming]) {
+  /** Each candidate's cost; none for an empty block, the winner's after [[serve]]. */
+  def costs: Seq[(String, Long, Long, Int)] = timings.map(_.cost)
+
+  /** Every row's top-K, result i for row i, from the `chosen` candidate:
+    * drops the others' bindings (RECDEX's user index with them), keeps the
+    * winner's sampled results and serves the other rows once, ascending,
+    * with its binding. An empty block serves no rows; serving again, also
+    * from another thread at once, returns the same results. */
+  def serve(chosen: String): Array[TopKResult] = {
+    timings = timings.filter(_.name == chosen)
+    require(rows == 0 || timings.nonEmpty, s"no candidate $chosen was timed on this block")
+    val out = new Array[TopKResult](rows)
+    timings.foreach { winner =>
+      sampled.indices.foreach(i => out(sampled(i)) = winner.results(i))
+      val rest = out.indices.filter(out(_) == null).toArray
+      if (rest.nonEmpty) winner.serve(rest).zip(rest).foreach { case (res, r) => out(r) = res }
+    }
+    out
+  }
 }
 
 /** What RECOPT decided and what it cost to decide. */
@@ -60,16 +83,16 @@ final case class RecOptReport(
 /** RECOPT — the sampling-based MIPS serving optimizer (§4.1).
   *
   * Pipeline: (1) build every candidate index in full (construction is cheap
-  * relative to traversal — Fig. 2); (2) on each block of users, bind every
-  * candidate to the block (RECDEX builds its user index over it) and time it
-  * in chunks on a random user sample, the same for every candidate and no
-  * smaller than the users that fill 4x L2 (§4.1's floor, [[sampleSize]]),
-  * stopping an index early once a t-test separates it from MM
-  * ([[timeBlock]]); (3) extrapolate each strategy's total runtime, pick the
-  * minimum ([[report]]); (4) keep the winner's sampled results and serve the
-  * rest of each block with what the winner built for it ([[reuseSample]]).
-  * Local [[serveAll]] runs this on one block, the whole user matrix; Spark
-  * on each user partition.
+  * relative to traversal — Fig. 2); (2) on each block of users, one of P,
+  * pick a random user sample, the same for every candidate and no smaller
+  * than the block's share of the users that fill 4x L2 (§4.1's floor,
+  * [[sampleSize]]), bind every candidate to the block (RECDEX builds its
+  * user index over it) and time it in chunks on the sample, stopping an
+  * index early once a t-test separates it from MM ([[onBlock]]); (3)
+  * extrapolate each strategy's total runtime, pick the minimum ([[report]]);
+  * (4) keep the winner's sampled results and serve the rest of each block
+  * with what the winner built for it ([[TimedBlock.serve]]). Local
+  * [[serveAll]] is one block, part 0 of 1; Spark's blocks are its partitions.
   */
 object RecOpt {
 
@@ -131,8 +154,18 @@ object RecOpt {
       (solver.name, prep, System.nanoTime() - t0)
     }
 
-  /** The sample-timing kernel, run once per block of users: the local
-    * `serveAll` on the whole user matrix, Spark on each partition.
+  /** RECOPT on block `part` of `parts`: picks [[sampleSize]]`(rows, f, cfg,
+    * parts)` rows with [[sampleRows]] seeded with `cfg.seed + part` (part 0
+    * of 1 picks [[sampleIndices]]' rows) and times the `candidates`, MM
+    * first, on them ([[timeBlock]]). An empty block times nothing. */
+  def onBlock(block: Matrix, part: Int, parts: Int, k: Int, cfg: RecOptConfig,
+              candidates: Seq[(String, PreparedMips)]): TimedBlock = {
+    val sampled = sampleRows(block.rows, sampleSize(block.rows, block.cols, cfg, parts), cfg.seed + part)
+    new TimedBlock(block.rows, sampled,
+      if (block.rows == 0) Seq.empty else timeBlock(block, sampled, k, candidates))
+  }
+
+  /** The sample-timing kernel of [[onBlock]].
     * Every candidate is first bound to the block (`PreparedMips.bind`, the
     * block's fixed cost: RECDEX builds its user index over the whole block).
     * Then each candidate's binding serves the `sampled` rows in order,
@@ -143,8 +176,8 @@ object RecOpt {
     * needs two values), a one-sample t-test of its per-user cost per chunk
     * against MM's mean has p < [[TTestAlpha]].
     * Returns one timing per candidate, in order. */
-  def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
-                candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
+  private[recopt] def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
+                                candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
     val n = sampled.length
     require(n > 0, "cannot time an empty sample")
     require(candidates.headOption.exists(_._1 == "MM"), "the first candidate must be MM")
@@ -177,7 +210,7 @@ object RecOpt {
   }
 
   /** Decide from the blocks' `(name, fixed nanos, busy nanos, users)` costs
-    * ([[BlockTiming.cost]]), summed per candidate: estimate each of `builds`
+    * ([[TimedBlock.costs]]), summed per candidate: estimate each of `builds`
     * (name, build nanos) as build + fixed + busy per user x `totalUsers` and
     * pick the minimum. The sample size is what MM timed; the waste is the
     * losers' builds and busy time. */
@@ -198,31 +231,12 @@ object RecOpt {
       System.nanoTime() - startNanos)
   }
 
-  /** Build every candidate, time it on the `sampled` rows of `block` and
-    * decide, extrapolating to `totalUsers`. Fails before building anything
-    * if `block` is empty or its dimension differs from the items'. */
-  private def decideOn(block: Matrix, sampled: Array[Int], items: Matrix, k: Int,
-                       indexSolvers: Seq[MipsSolver], totalUsers: Long)
-      : (RecOptReport, Seq[BlockTiming]) = {
-    val t0 = System.nanoTime()
-    require(block.cols == items.cols, s"users have ${block.cols} features, items have ${items.cols}")
-    require(block.rows > 0, "user matrix is empty: nothing to serve")
-    require(k >= 1, s"k must be >= 1, got $k")
-    val candidates = buildCandidates(items, indexSolvers)
-    val timings = timeBlock(block, sampled, k, candidates.map { case (name, prep, _) => name -> prep })
-    (report(candidates.map { case (name, _, build) => name -> build }, timings.map(_.cost),
-      totalUsers, t0), timings)
-  }
-
-  /** The decision on one block whose every row is sampled: build every
-    * candidate, time it on `sampleUsers` ([[timeBlock]]) and extrapolate to
-    * `totalUsers`, which may exceed `sampleUsers.rows`. `cfg` is not read,
-    * since timing has no settings; it is kept so callers that pass one
-    * compile unchanged. */
+  /** The decision on one block whose every row is sampled ([[onBlock]] at a
+    * `sampleFraction` of 1), extrapolated to `totalUsers`. */
   def estimate(sampleUsers: Matrix, items: Matrix, k: Int,
                indexSolvers: Seq[MipsSolver], totalUsers: Long,
-               @unused cfg: RecOptConfig = RecOptConfig()): RecOptReport =
-    decideOn(sampleUsers, Array.range(0, sampleUsers.rows), items, k, indexSolvers, totalUsers)._1
+               cfg: RecOptConfig = RecOptConfig()): RecOptReport =
+    onUsers(sampleUsers, items, k, indexSolvers, totalUsers, cfg.copy(sampleFraction = 1.0))._1
 
   /** Serve exact top-K for every user, choosing between blocked MM and the
     * given index solvers. Returns per-user results (row-aligned with
@@ -231,29 +245,21 @@ object RecOpt {
                indexSolvers: Seq[MipsSolver],
                cfg: RecOptConfig = RecOptConfig()): (Array[TopKResult], RecOptReport) = {
     val t0 = System.nanoTime()
-    val sampleIdx = sampleIndices(users.rows, users.cols, cfg)
-    val (report, timings) = decideOn(users, sampleIdx, items, k, indexSolvers, users.rows)
-    val winner = timings.find(_.name == report.chosen).get
-    val out = reuseSample(users.rows, sampleIdx, winner.results)(winner.serve)
-    (out, report.copy(totalNanos = System.nanoTime() - t0))
+    val (report, block) = onUsers(users, items, k, indexSolvers, users.rows, cfg)
+    (block.serve(report.chosen), report.copy(totalNanos = System.nanoTime() - t0))
   }
 
-  /** The top-K of `n` users given the winner's results on a sample:
-    * `sampled(i)` belongs to user `sampleIdx(i)` and is null where the t-test
-    * stopped. Sampled results are kept as they are; `serve` runs once, on the
-    * users left without one in ascending order, and not at all if there are
-    * none. Result i belongs to user i. */
-  def reuseSample(n: Int, sampleIdx: Array[Int], sampled: Array[TopKResult])
-                 (serve: Array[Int] => Array[TopKResult]): Array[TopKResult] = {
-    val out = new Array[TopKResult](n)
-    var i = 0
-    while (i < sampled.length) { out(sampleIdx(i)) = sampled(i); i += 1 }
-    val remainingIdx = (0 until n).filter(out(_) == null).toArray
-    if (remainingIdx.nonEmpty) {
-      val remRes = serve(remainingIdx)
-      var j = 0
-      while (j < remainingIdx.length) { out(remainingIdx(j)) = remRes(j); j += 1 }
-    }
-    out
+  /** Build every candidate, run [[onBlock]] on `users` as part 0 of 1 and
+    * decide, extrapolating to `totalUsers`. Fails before building anything
+    * if `users` is empty, its dimension differs from the items' or k < 1. */
+  private def onUsers(users: Matrix, items: Matrix, k: Int, indexSolvers: Seq[MipsSolver],
+                      totalUsers: Long, cfg: RecOptConfig): (RecOptReport, TimedBlock) = {
+    val t0 = System.nanoTime()
+    require(users.cols == items.cols, s"users have ${users.cols} features, items have ${items.cols}")
+    require(users.rows > 0, "user matrix is empty: nothing to serve")
+    require(k >= 1, s"k must be >= 1, got $k")
+    val candidates = buildCandidates(items, indexSolvers)
+    val block = onBlock(users, 0, 1, k, cfg, candidates.map { case (name, prep, _) => name -> prep })
+    (report(candidates.map { case (name, _, build) => name -> build }, block.costs, totalUsers, t0), block)
   }
 }

@@ -6,7 +6,7 @@ import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.types._
 import org.apache.spark.storage.StorageLevel
 import repro.core.{Matrix, MipsSolver, TopKResult}
-import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
+import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
 
 /** Batch MIPS serving on Spark — the paper's kernels as a per-partition
   * vectorized operator.
@@ -23,11 +23,12 @@ import repro.recopt.{BlockTiming, RecOpt, RecOptConfig, RecOptReport}
   *
   * RECOPT decides where the users live: the driver builds every candidate
   * once and broadcasts them, one Spark job decodes each partition once and
-  * runs RECOPT's per-block kernel on it ([[RecOpt.timeBlock]]: RECDEX builds
-  * its user index over the partition, every candidate is timed in chunks on
-  * the partition's share of a user sample), the driver extrapolates and
-  * decides, and the serve reuses the winner's sampled results and serves the
-  * rest of each kept block with what the winner built for it.
+  * runs RECOPT's per-block function on it ([[RecOpt.onBlock]]: it samples
+  * the partition's share of the users, RECDEX builds its user index over the
+  * partition, every candidate is timed in chunks on the sample), the driver
+  * extrapolates and decides, and each kept block serves itself with the
+  * winner ([[repro.recopt.TimedBlock.serve]]), as local `RecOpt.serveAll`
+  * serves its one block.
   *
   * Users and items are read, and results written, as Spark's internal rows
   * ([[org.apache.spark.sql.InternalRows]]), never as `Row`s.
@@ -59,7 +60,7 @@ object SparkMips {
     * row's. */
   def collectMatrix(df: DataFrame, idCol: String): (Array[Long], Matrix) = {
     val rows = InternalRows.collect(embeddings(df, idCol))
-    require(rows.nonEmpty, "empty embedding DataFrame")
+    require(rows.nonEmpty, "items DataFrame is empty: no items to serve")
     decode(rows.iterator, "item", -1)
   }
 
@@ -88,8 +89,7 @@ object SparkMips {
     val f = itemMatrix.cols
     val out = InternalRows.rdd(embeddings(users, "user_id")).mapPartitions { it =>
       val (ids, block) = decode(it, "user", f)
-      if (ids.isEmpty) Iterator.empty
-      else encode(ids, bPrepared.value.queryBatch(block, k), bItemIds.value)
+      encode(ids, bPrepared.value.queryBatch(block, k), bItemIds.value)
     }
     InternalRows.toDataFrame(spark, out, OutputSchema)
   }
@@ -98,20 +98,19 @@ object SparkMips {
     *
     * Decision phase, eager, two Spark jobs: collect the items; build MM and
     * every candidate once on the driver (C_I) and broadcast them; then one
-    * pass decodes each user partition p of P into a block of n_p rows, picks
-    * [[RecOpt.sampleSize]]`(n_p, f, cfg, P)` of them with
-    * [[RecOpt.sampleRows]] seeded with `cfg.seed + p` (so every non-empty
-    * block has a sampled row, and one partition picks what local `serveAll`
-    * picks) and runs [[RecOpt.timeBlock]] on them: every candidate is bound
+    * pass decodes each user partition p of P and runs [[RecOpt.onBlock]] on
+    * it as part p of P: it samples the partition's share of the users (one
+    * partition samples what local `serveAll` samples), binds every candidate
     * to the whole block (RECDEX builds its user index over it, a per-block
-    * cost added to its build) and timed in chunks on the sampled rows. Each
-    * block is kept in memory with every candidate's sampled results and
-    * serve handle. The pass returns each block's row count with its costs;
+    * cost added to its build) and times it in chunks on the sample. Each
+    * timed block is kept in memory with every candidate's sampled results
+    * and binding. The pass returns each block's row count with its costs;
     * the driver sums the counts to |U| (no job counts the users first),
-    * extrapolates and decides. Serve phase, lazy: the
-    * returned DataFrame maps over the same blocks, drops every handle but
-    * the winner's and serves each block with [[RecOpt.reuseSample]] and the
-    * winner's handle, so RECDEX never clusters a block twice. The report's
+    * extrapolates and decides. Serve phase, lazy: the returned DataFrame
+    * maps over the same blocks and encodes each block's
+    * [[repro.recopt.TimedBlock.serve]] with the winner, which drops the
+    * other candidates' bindings and reuses the winner's sampled results and
+    * binding, so RECDEX never clusters a block twice. The report's
     * `totalNanos` covers the decision phase.
     *
     * The kept blocks and the candidates' broadcast live as long as the
@@ -132,43 +131,27 @@ object SparkMips {
     val f = itemMatrix.cols
     val candidates = RecOpt.buildCandidates(itemMatrix, indexSolvers)
 
-    // --- one pass: decode every partition once, time the candidates on its sampled rows ---
+    // --- one pass: decode every partition once, time the candidates on its sample ---
     val bCandidates = spark.sparkContext.broadcast(candidates.map { case (name, prep, _) => name -> prep })
     val partitions = userRows.getNumPartitions
     val blocks = userRows.mapPartitionsWithIndex { (p, it) =>
       val (ids, block) = decode(it, "user", f)
-      val sampled = RecOpt.sampleRows(ids.length,
-        RecOpt.sampleSize(ids.length, f, cfg, partitions), cfg.seed + p)
-      val timings =
-        if (ids.isEmpty) Seq.empty else RecOpt.timeBlock(block, sampled, k, bCandidates.value)
-      Iterator.single(new TimedBlock(ids, sampled, timings))
+      Iterator.single(ids -> RecOpt.onBlock(block, p, partitions, k, cfg, bCandidates.value))
     }.persist(StorageLevel.MEMORY_ONLY)
-    val passed = blocks.map(b => (b.ids.length.toLong, b.timings.map(_.cost))).collect()
+    val passed = blocks.map { case (_, b) => (b.rows.toLong, b.costs) }.collect()
     val totalUsers = passed.map(_._1).sum
     require(totalUsers > 0, "users DataFrame is empty: nothing to serve")
     val report = RecOpt.report(candidates.map { case (name, _, build) => name -> build },
       passed.toSeq.flatMap(_._2), totalUsers, t0)
 
-    // --- serve the same blocks: the winner's sampled results, its handle for the rest ---
+    // --- serve the same blocks with the winner ---
     val chosen = report.chosen
     val bItemIds = spark.sparkContext.broadcast(itemIds)
-    val out = blocks.mapPartitions(_.flatMap { b =>
-      // the kept block drops the losers' handles (and RECDEX's user index
-      // with them); idempotent, so a second action serves the same rows
-      b.timings = b.timings.filter(_.name == chosen)
-      b.timings.iterator.flatMap { t =>
-        encode(b.ids, RecOpt.reuseSample(b.ids.length, b.sampled, t.results)(t.serve), bItemIds.value)
-      }
+    val out = blocks.mapPartitions(_.flatMap { case (ids, b) =>
+      encode(ids, b.serve(chosen), bItemIds.value)
     })
     (InternalRows.toDataFrame(spark, out, OutputSchema), report)
   }
-
-  /** One partition of RECOPT's pass: its user ids, the block rows in the
-    * sample, and each candidate's timing on them (none for an empty block;
-    * only the winner's once served). The timings' serve handles hold the
-    * block. */
-  private final class TimedBlock(val ids: Array[Long], val sampled: Array[Int],
-                                 var timings: Seq[BlockTiming])
 
   private def requireK(k: Int): Unit = require(k >= 1, s"k must be >= 1, got $k")
 

@@ -108,6 +108,44 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("one MM or RECDEX binding served from two threads at once returns brute force's ids " +
+      "and score bits") {
+    val (users, items) = ModelZoo.tiny(300, 200, 12, seed = 41, concentrated = true)
+    val expect = bruteForce(users, items, 7)
+    // the two threads ask for the rows in opposite orders
+    val orders = Seq(Array.range(0, users.rows), Array.range(0, users.rows).reverse)
+    for (solver <- Seq(new BruteForceMM(), new Recdex(numClusters = 4, blockSize = 16))) {
+      val serve = solver.prepare(items).bind(users, 7)
+      val start = new java.util.concurrent.CountDownLatch(1)
+      val served = orders.map(_ => new java.util.concurrent.ConcurrentLinkedQueue[Array[TopKResult]]())
+      val failures = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]()
+      val threads = orders.indices.map { t =>
+        new Thread(() =>
+          try { start.await(); (0 until 20).foreach(_ => served(t).add(serve(orders(t)))) }
+          catch { case e: Throwable => failures.add(e) })
+      }
+      threads.foreach(_.start())
+      start.countDown()
+      threads.foreach(_.join())
+      assert(failures.isEmpty, s"${solver.name}: $failures")
+      for (t <- orders.indices) {
+        assert(served(t).size == 20, solver.name)
+        served(t).forEach(got => assertIdentical(got, orders(t).map(expect), s"${solver.name} thread $t"))
+      }
+    }
+  }
+
+  for ((label, construct, message) <- Seq[(String, () => MipsSolver, String)](
+      ("LEMP with bucketSize = -1", () => new LempIndex(bucketSize = -1), "bucketSize must be >= 1, got -1"),
+      ("LEMP with bucketSize = 0", () => new LempIndex(bucketSize = 0), "bucketSize must be >= 1, got 0"),
+      ("LEMP with prefixStep = -2", () => new LempIndex(prefixStep = -2), "prefixStep must be >= 1, got -2"),
+      ("LEMP with prefixStep = 0", () => new LempIndex(prefixStep = 0), "prefixStep must be >= 1, got 0"),
+      ("RECDEX with numClusters = 0", () => new Recdex(numClusters = 0), "numClusters must be >= 1, got 0")))
+    test(s"$label is rejected when constructed") {
+      val e = intercept[IllegalArgumentException](construct())
+      assert(e.getMessage.contains(message), e.getMessage)
+    }
+
   checkProp("property: MM exact on random shapes", minTests = 30) {
     exactProp(new BruteForceMM(), Identical)
   }

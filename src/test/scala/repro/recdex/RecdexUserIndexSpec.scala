@@ -158,6 +158,26 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     assert(wPlain <= wBlocked + 1e-9, "blocking can only add visits")
   }
 
+  test("a binding builds the user index once: serving one row costs a fraction of a bind") {
+    val (users, items) = ModelZoo.tiny(2000, 300, 16, seed = 71, concentrated = true)
+    val prep = new Recdex(numClusters = 8, blockSize = 16).prepare(items)
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+    /** Median CPU time of 7 runs of `body`, after 3 runs that warm it up. */
+    def cpuNanos(body: => Any): Long = {
+      (0 until 3).foreach(_ => body)
+      val times = (0 until 7).map { _ =>
+        val t0 = threads.getCurrentThreadCpuTime
+        body
+        threads.getCurrentThreadCpuTime - t0
+      }
+      times.sorted.apply(3)
+    }
+    val serve = prep.bind(users, 5)
+    val bind = cpuNanos(prep.bind(users, 5))
+    val one = cpuNanos(serve(Array(17)))
+    assert(one < bind / 4, s"one row $one ns, a bind $bind ns")
+  }
+
   test("bound order: bound descending, then id ascending") {
     val bounds = Array(1.0, 2.0, 1.0, 0.0, -0.0, 2.0, -1.0, 0.0)
     assert(RecdexPrepared.boundOrder(bounds).toSeq == Seq(1, 5, 0, 2, 3, 7, 4, 6))

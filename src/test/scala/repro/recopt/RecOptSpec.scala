@@ -84,6 +84,46 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(a.toSeq == b.toSeq)
   }
 
+  // ---- the per-block function ----
+
+  /** MM, LEMP and RECDEX prepared over `items`, named, MM first. */
+  private def candidates(items: Matrix): Seq[(String, PreparedMips)] =
+    Seq(new BruteForceMM(), new LempIndex(bucketSize = 16), new Recdex(numClusters = 3, blockSize = 8))
+      .map(s => s.name -> s.prepare(items))
+
+  test("onBlock: an empty block has no costs and serves no rows") {
+    val items = Matrix.randn(30, 8, seed = 5)
+    val block = RecOpt.onBlock(new Matrix(0, 8, Array.empty[Double]), 2, 4, 3, RecOptConfig(),
+      candidates(items))
+    assert(block.rows == 0 && block.sampled.isEmpty && block.costs.isEmpty)
+    assert(block.serve("MM").isEmpty)
+  }
+
+  for (chosen <- Seq("MM", "LEMP", "RECDEX"))
+    test(s"onBlock: serving a block twice with $chosen returns the same ids and score bits") {
+      val (users, items) = ModelZoo.tiny(200, 90, 8, seed = 167, concentrated = true)
+      // a fifth of the rows sampled, so the binding serves the rest
+      val block = RecOpt.onBlock(users, 0, 1, 4, RecOptConfig(sampleFraction = 0.2, l2CacheBytes = 1),
+        candidates(items))
+      assert(block.sampled.length == 40 && block.costs.map(_._1) == Seq("MM", "LEMP", "RECDEX"))
+      val first = block.serve(chosen)
+      assert(block.costs.map(_._1) == Seq(chosen), "the other candidates' bindings are kept")
+      SolverTestSupport.assertIdentical(first, SolverTestSupport.bruteForce(users, items, 4), chosen)
+      SolverTestSupport.assertIdentical(block.serve(chosen), first, s"$chosen, second serve")
+    }
+
+  test("onBlock: part 0 of 1 samples sampleIndices' rows, and part p of P its share seeded with seed + p") {
+    val (users, items) = ModelZoo.tiny(300, 40, 8, seed = 173)
+    val mm = Seq("MM" -> new BruteForceMM().prepare(items))
+    for (fraction <- Seq(0.05, 0.3, 1.0); seed <- Seq(3L, 17L)) {
+      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1L << 10, seed = seed)
+      assert(RecOpt.onBlock(users, 0, 1, 2, cfg, mm).sampled.toSeq ==
+        RecOpt.sampleIndices(300, 8, cfg).toSeq, s"fraction $fraction, seed $seed")
+      assert(RecOpt.onBlock(users, 2, 4, 2, cfg, mm).sampled.toSeq ==
+        RecOpt.sampleRows(300, RecOpt.sampleSize(300, 8, cfg, 4), seed + 2).toSeq)
+    }
+  }
+
   // ---- end-to-end serveAll: correctness regardless of which strategy wins ----
 
   for (conc <- Seq(false, true))
@@ -245,8 +285,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       "(C_I accounting) when the full user matrix is supplied") {
     val (users, items) = ModelZoo.tiny(400, 100, 8, seed = 97, concentrated = true)
     val sampleIdx = Array(5, 50, 120, 200, 333, 390)
-    val recdex = new CountingBinds(new RecdexPrepared(items, numClusters = 3, blockSize = 8,
-      kmeansSeed = 42, kmeansMaxIter = 20))
+    val recdex = new CountingBinds(new RecdexPrepared(items, numClusters = 3, blockSize = 8))
     val mm = new BruteForceMM().prepare(items)
     val Seq(_, rd) = RecOpt.timeBlock(users, sampleIdx, 3, Seq("MM" -> mm, "RECDEX" -> recdex))
     // only the sampled walks are extrapolated; construction sits in buildNanos

@@ -115,6 +115,12 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     }
   }
 
+  test("collectMatrix rejects an empty items DataFrame, naming the items") {
+    val empty = SparkMips.toDf(spark, Matrix.randn(5, 3, seed = 1), "item_id", 1).limit(0)
+    val e = intercept[IllegalArgumentException](SparkMips.collectMatrix(empty, "item_id"))
+    assert(e.getMessage.contains("items DataFrame is empty"), e.getMessage)
+  }
+
   test("topKAllWithRecOpt serves exactly and reports a valid choice") {
     val (u, i) = ModelZoo.tiny(250, 80, 8, seed = 89, concentrated = true)
     val usersDf = SparkMips.toDf(spark, u, "user_id", numPartitions = 4)
