@@ -7,24 +7,25 @@ import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
   * Reimplementation of the retrieval variant the paper benchmarks
   * ("LEMP-LI": length-based + incremental pruning):
   *
-  *  1. Items are sorted by L2 norm descending and partitioned into buckets
-  *     of similar norm; each bucket is sized to stay cache-resident (the
-  *     original sizes buckets to L3 — we use a fixed row count that keeps a
-  *     bucket's vectors + norms within a few hundred KB).
-  *  2. A query walks buckets in norm order. Once `||u|| * bucketMaxNorm`
-  *     cannot beat the current k-th best score, the remaining buckets are
-  *     pruned wholesale (length pruning — Cauchy–Schwarz).
-  *  3. Inside a bucket, each item is first length-pruned with its own norm,
-  *     then scored incrementally: exact partial inner product over a prefix
-  *     of coordinates plus a Cauchy–Schwarz bound from precomputed suffix
-  *     norms; when the bound falls below the heap threshold the item is
-  *     abandoned (incremental pruning).
+  *  1. Items are sorted by L2 norm descending.
+  *  2. A query walks the sorted items once. It stops at the first item whose
+  *     length bound `||u|| * ||i||` cannot beat the current k-th best score
+  *     (length pruning — Cauchy–Schwarz); every later item has a norm no
+  *     higher, so none of them can either.
+  *  3. Every other item is scored incrementally: exact partial inner product
+  *     over a prefix of coordinates plus a Cauchy–Schwarz bound from
+  *     precomputed suffix norms, checked every `prefixStep` coordinates; when
+  *     the bound falls below the heap threshold the item is abandoned
+  *     (incremental pruning).
+  *
+  * The original buckets items by norm so that it can pick a pruning method
+  * per bucket; here every item runs the same two checks, so buckets would
+  * only split the loop.
   *
   * The index is exact: pruning only discards items whose upper bound, widened
   * by a rounding slack, is strictly below the admission threshold.
   */
-final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extends MipsSolver {
-  require(bucketSize >= 1, s"bucketSize must be >= 1, got $bucketSize")
+final class LempIndex(val prefixStep: Int = 8) extends MipsSolver {
   require(prefixStep >= 1, s"prefixStep must be >= 1, got $prefixStep")
 
   override def name: String = "LEMP"
@@ -42,12 +43,7 @@ final class LempIndex(val bucketSize: Int = 256, val prefixStep: Int = 8) extend
     val checkpoints = (prefixStep until f by prefixStep).toArray
     val suffixNorms = Array.tabulate(n)(i => LempIndex.suffixNorms(sorted.data, i * f, f, checkpoints))
 
-    val nBuckets = (n + bucketSize - 1) / bucketSize
-    val bucketStart = Array.tabulate(nBuckets)(_ * bucketSize)
-    val bucketMaxNorm = Array.tabulate(nBuckets)(b => sortedNorms(bucketStart(b)))
-
-    new LempPrepared(sorted, sortedNorms, suffixNorms, checkpoints, order,
-      bucketStart, bucketMaxNorm, bucketSize, prefixStep)
+    new LempPrepared(sorted, sortedNorms, suffixNorms, checkpoints, order)
   }
 }
 
@@ -74,10 +70,6 @@ final class LempPrepared(
     suffixNorms: Array[Array[Double]],
     checkpoints: Array[Int],
     originalIds: Array[Int],
-    bucketStart: Array[Int],
-    bucketMaxNorm: Array[Double],
-    bucketSize: Int,
-    prefixStep: Int,
 ) extends PreparedMips {
 
   /** Rounding slack of the prune checks per unit of user norm,
@@ -105,31 +97,13 @@ final class LempPrepared(
     // every check prunes strictly below min(heap) less the slack, and
     // nothing while the heap is not full, so ties stay exact
     def threshold = if (h.isFull) h.minScore - slack else Double.NegativeInfinity
-    var b = 0
-    var done = false
-    while (b < bucketStart.length && !done) {
-      // length pruning across buckets: best possible score in this (and all
-      // later) buckets is ||u|| * maxNorm(bucket)
-      if (uNorm * bucketMaxNorm(b) < threshold) {
-        done = true
-      } else {
-        val start = bucketStart(b)
-        val end = math.min(start + bucketSize, n)
-        var i = start
-        var bucketDone = false
-        while (i < end && !bucketDone) {
-          // per-item length pruning; items in a bucket are norm-descending,
-          // so the first prunable item prunes the bucket remainder.
-          if (uNorm * sortedNorms(i) < threshold) {
-            bucketDone = true
-          } else {
-            val score = incrementalDot(user, uSuffix, i, threshold)
-            if (!score.isNaN) h.offer(score, originalIds(i))
-            i += 1
-          }
-        }
-        b += 1
-      }
+    // length pruning: items are norm-descending, so the first item whose
+    // bound ||u|| * ||i|| falls below the threshold prunes all later ones
+    var i = 0
+    while (i < n && !(uNorm * sortedNorms(i) < threshold)) {
+      val score = incrementalDot(user, uSuffix, i, threshold)
+      if (!score.isNaN) h.offer(score, originalIds(i))
+      i += 1
     }
     h.result()
   }
@@ -144,16 +118,14 @@ final class LempPrepared(
     val sn = suffixNorms(item)
     var s = 0.0
     var p = 0
-    var cIdx = 0
-    while (p < f) {
-      val stop = math.min(p + prefixStep, f)
+    var c = 0
+    while (c < checkpoints.length) {
+      val stop = checkpoints(c)
       while (p < stop) { s += user(p) * sorted.data(off + p); p += 1 }
-      if (p < f && cIdx < checkpoints.length && p == checkpoints(cIdx)) {
-        val bound = s + uSuffix(cIdx) * sn(cIdx)
-        if (bound < threshold) return Double.NaN
-        cIdx += 1
-      }
+      if (s + uSuffix(c) * sn(c) < threshold) return Double.NaN
+      c += 1
     }
+    while (p < f) { s += user(p) * sorted.data(off + p); p += 1 }
     s
   }
 }

@@ -12,7 +12,7 @@ import repro.core.Matrix
   *
   *  - '''angular concentration of user vectors''' (`userSpread`): high
   *    regularization in real training concentrates users; concentrated users
-  *    give RECDEX small θ_b and LEMP tight cosine buckets → indexes win.
+  *    give RECDEX small θ_b → indexes win.
   *    Diffuse users (low λ) defeat pruning → blocked MM wins.
   *  - '''item norm spread''' (`itemNormSigma`): a heavy-tailed norm
   *    distribution lets norm-ordered indexes (LEMP, RECDEX, FEXIPRO) stop

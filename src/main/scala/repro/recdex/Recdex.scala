@@ -15,7 +15,7 @@ import repro.core._
   *     dimension-major chunks (one array per coordinate, indexed from 0): the
   *     first chunk is the §5.4 head of B items, every later one holds
   *     [[RecdexPrepared.ChunkItems]] items (the last one fewer). A walk reads
-  *     each chunk sequentially, as LEMP reads its buckets.
+  *     each chunk sequentially.
   *
   * Querying (Algorithm 1, QueryIndex + §5.4 blocked head), one loop over the
   * chunks of the user's cluster with a bounded heap:
@@ -51,6 +51,7 @@ import repro.core._
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096) extends MipsSolver {
   require(numClusters >= 1, s"numClusters must be >= 1, got $numClusters")
+  require(blockSize >= 0, s"blockSize must be >= 0, got $blockSize")
 
   /** The k-means seed and iteration cap of every user index build. */
   val kmeansSeed: Long = RecdexPrepared.KMeansSeed
@@ -84,7 +85,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int) exte
     if (block.rows == 0) super.bind(block, k)
     else {
       val index = buildUserIndexImpl(block)
-      index.querySubset(_, k)
+      index.queryImpl(_, k, shareBlocked = true, null)
     }
 
   def buildUserIndexImpl(users: Matrix): RecdexUserIndex = {
@@ -162,11 +163,6 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int) exte
     /** Exact top-K for every indexed user, row-aligned with the build matrix. */
     def queryAll(k: Int): Array[TopKResult] =
       queryImpl(Array.range(0, users.rows), k, shareBlocked = true, null)
-
-    /** Exact top-K for the indexed user rows `rows`; result i belongs to
-      * `rows(i)`. */
-    def querySubset(rows: Array[Int], k: Int): Array[TopKResult] =
-      queryImpl(rows, k, shareBlocked = true, null)
 
     /** Lesion hook (Fig. 8): query blocked (the serving path) or unblocked
       * (a bound check and one scored item per step), reusing this built

@@ -23,11 +23,11 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
 
   private def solvers: Seq[(String, MipsSolver, Double)] = Seq(
     // (label, solver, score tolerance) — SVD-rotating solvers accumulate
-    // ~1e-12-scale rotation error, so they get a looser tolerance; RECDEX
-    // adds every score in brute force's order, so it gets none.
-    ("MM",             new BruteForceMM(), 1e-9),
-    ("LEMP",           new LempIndex(bucketSize = 32, prefixStep = 4), 1e-9),
-    ("LEMP-big-bucket", new LempIndex(bucketSize = 1024, prefixStep = 16), 1e-9),
+    // ~1e-12-scale rotation error, so they get a looser tolerance; MM, LEMP
+    // and RECDEX add every score in brute force's order, so they get none.
+    ("MM",             new BruteForceMM(), Identical),
+    ("LEMP",           new LempIndex(prefixStep = 4), Identical),
+    ("LEMP-step16",    new LempIndex(prefixStep = 16), Identical),
     ("FEXIPRO-SI",     new Fexipro(useReduction = false), 1e-7),
     ("FEXIPRO-SIR",    new Fexipro(useReduction = true), 1e-7),
     ("RECDEX",         new Recdex(numClusters = 4, blockSize = 16), Identical),
@@ -136,11 +136,10 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
   }
 
   for ((label, construct, message) <- Seq[(String, () => MipsSolver, String)](
-      ("LEMP with bucketSize = -1", () => new LempIndex(bucketSize = -1), "bucketSize must be >= 1, got -1"),
-      ("LEMP with bucketSize = 0", () => new LempIndex(bucketSize = 0), "bucketSize must be >= 1, got 0"),
       ("LEMP with prefixStep = -2", () => new LempIndex(prefixStep = -2), "prefixStep must be >= 1, got -2"),
       ("LEMP with prefixStep = 0", () => new LempIndex(prefixStep = 0), "prefixStep must be >= 1, got 0"),
-      ("RECDEX with numClusters = 0", () => new Recdex(numClusters = 0), "numClusters must be >= 1, got 0")))
+      ("RECDEX with numClusters = 0", () => new Recdex(numClusters = 0), "numClusters must be >= 1, got 0"),
+      ("RECDEX with blockSize = -5", () => new Recdex(blockSize = -5), "blockSize must be >= 0, got -5")))
     test(s"$label is rejected when constructed") {
       val e = intercept[IllegalArgumentException](construct())
       assert(e.getMessage.contains(message), e.getMessage)
@@ -151,7 +150,7 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
   }
 
   checkProp("property: LEMP exact on random shapes", minTests = 30) {
-    exactProp(new LempIndex(bucketSize = 16, prefixStep = 4), 1e-9)
+    exactProp(new LempIndex(prefixStep = 4), Identical)
   }
 
   checkProp("property: FEXIPRO-SI exact on random shapes", minTests = 25) {
@@ -208,13 +207,12 @@ class ExactnessSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  // small buckets and prefix steps, so all three prune checks run often
+  // small prefix steps, so both prune checks run often
   checkProp("property: LEMP returns brute force's ids and score bits on tie-heavy integer models",
       minTests = 300) {
     tieHeavy(300) { (users, items, k, expect, rng) =>
-      val lemp = new LempIndex(bucketSize = 1 + rng.nextInt(8), prefixStep = 1 + rng.nextInt(3))
-      identical(lemp.prepare(items).queryBatch(users, k), expect,
-        s"LEMP bucket=${lemp.bucketSize} step=${lemp.prefixStep}")
+      val lemp = new LempIndex(prefixStep = 1 + rng.nextInt(3))
+      identical(lemp.prepare(items).queryBatch(users, k), expect, s"LEMP step=${lemp.prefixStep}")
     }
   }
 

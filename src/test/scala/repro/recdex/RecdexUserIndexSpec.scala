@@ -13,10 +13,15 @@ import repro.mips.SolverTestSupport
   */
 class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
 
-  private def built(nu: Int, ni: Int, f: Int, b: Int, conc: Boolean, seed: Long) = {
+  private def prepared(nu: Int, ni: Int, f: Int, b: Int, conc: Boolean, seed: Long) = {
     val (users, items) = ModelZoo.tiny(nu, ni, f, seed, concentrated = conc)
     val prep = new Recdex(numClusters = 4, blockSize = b).prepare(items)
       .asInstanceOf[RecdexPrepared]
+    (users, items, prep)
+  }
+
+  private def built(nu: Int, ni: Int, f: Int, b: Int, conc: Boolean, seed: Long) = {
+    val (users, items, prep) = prepared(nu, ni, f, b, conc, seed)
     (users, items, prep.buildUserIndexImpl(users))
   }
 
@@ -27,11 +32,11 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
       SolverTestSupport.assertIdentical(idx.queryAll(5), expect)
     }
 
-    test(s"querySubset matches queryAll rows (concentrated=$conc blockSize=$b)") {
-      val (_, _, idx) = built(150, 90, 10, b, conc, seed = 43)
-      val all = idx.queryAll(4)
+    test(s"a binding serves the queryAll rows it is asked for (concentrated=$conc blockSize=$b)") {
+      val (users, _, prep) = prepared(150, 90, 10, b, conc, seed = 43)
+      val all = prep.buildUserIndexImpl(users).queryAll(4)
       val rows = Array(3, 17, 42, 149, 0)
-      val sub = idx.querySubset(rows, 4)
+      val sub = prep.bind(users, 4)(rows)
       rows.indices.foreach { i =>
         assert(sub(i).ids.toSeq == all(rows(i)).ids.toSeq, s"row ${rows(i)}")
         assert(sub(i).scores.toSeq == all(rows(i)).scores.toSeq)
@@ -39,18 +44,19 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  checkProp("property: querySubset equals queryAll at random subsets, in ids and score bits",
+  checkProp("property: a binding serves queryAll's rows at random subsets, in ids and score bits",
       minTests = 40) {
-    val indexes = for (conc <- Seq(false, true); b <- Seq(0, 16))
-      yield built(150, 90, 10, b, conc, seed = 45)._3
-    val alls = indexes.map(_.queryAll(4))
+    val models = for (conc <- Seq(false, true); b <- Seq(0, 16))
+      yield prepared(150, 90, 10, b, conc, seed = 45)
+    val alls = models.map { case (users, _, prep) => prep.buildUserIndexImpl(users).queryAll(4) }
+    val serves = models.map { case (users, _, prep) => prep.bind(users, 4) }
     val gen = for {
-      which <- Gen.choose(0, indexes.length - 1)
+      which <- Gen.choose(0, models.length - 1)
       size <- Gen.choose(0, 150)
       seed <- Gen.long
     } yield (which, new scala.util.Random(seed).shuffle((0 until 150).toVector).take(size).toArray)
     Prop.forAll(gen) { case (which, rows) =>
-      val sub = indexes(which).querySubset(rows, 4)
+      val sub = serves(which)(rows)
       sub.length == rows.length && rows.indices.forall { i =>
         val all = alls(which)(rows(i))
         sub(i).ids.toSeq == all.ids.toSeq &&
@@ -100,9 +106,9 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     assert(RecdexPrepared.chunkStarts(0, 3).toSeq == Seq(0))
   }
 
-  test("querySubset with a single row") {
-    val (users, items, idx) = built(60, 40, 6, 8, conc = true, seed = 47)
-    val sub = idx.querySubset(Array(33), 3)
+  test("a binding serves a single row") {
+    val (users, items, prep) = prepared(60, 40, 6, 8, conc = true, seed = 47)
+    val sub = prep.bind(users, 3)(Array(33))
     val expect = SolverTestSupport.bruteForce(users, items, 3)(33)
     assert(sub.length == 1)
     assert(sub(0).ids.toSeq == expect.ids.toSeq)

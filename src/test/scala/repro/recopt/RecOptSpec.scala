@@ -88,7 +88,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
 
   /** MM, LEMP and RECDEX prepared over `items`, named, MM first. */
   private def candidates(items: Matrix): Seq[(String, PreparedMips)] =
-    Seq(new BruteForceMM(), new LempIndex(bucketSize = 16), new Recdex(numClusters = 3, blockSize = 8))
+    Seq(new BruteForceMM(), new LempIndex(), new Recdex(numClusters = 3, blockSize = 8))
       .map(s => s.name -> s.prepare(items))
 
   test("onBlock: an empty block has no costs and serves no rows") {
@@ -131,7 +131,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       val (users, items) = ModelZoo.tiny(300, 150, 12, seed = 61, concentrated = conc)
       val expect = SolverTestSupport.bruteForce(users, items, 5)
       val (got, report) = RecOpt.serveAll(users, items, 5,
-        Seq(new LempIndex(bucketSize = 32), new Recdex(numClusters = 4, blockSize = 16)),
+        Seq(new LempIndex(), new Recdex(numClusters = 4, blockSize = 16)),
         RecOptConfig(sampleFraction = 0.05, l2CacheBytes = 1L << 12))
       SolverTestSupport.assertSame(got, expect, 1e-9, s"recopt conc=$conc")
       assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
@@ -178,7 +178,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
   test("estimate extrapolates per-user cost to the population") {
     val (users, items) = ModelZoo.tiny(200, 80, 8, seed = 71)
     val sample = users.sliceRows(0, 50)
-    val out = RecOpt.estimate(sample, items, 3, Seq(new LempIndex(bucketSize = 32)),
+    val out = RecOpt.estimate(sample, items, 3, Seq(new LempIndex()),
       totalUsers = 200, RecOptConfig())
     // estTotal = build + perUser * totalUsers exactly, by construction
     out.estimates.foreach { e =>

@@ -63,7 +63,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
 
   for ((label, solverF) <- Seq(
       "MM"     -> (() => new BruteForceMM()),
-      "LEMP"   -> (() => new LempIndex(bucketSize = 16)),
+      "LEMP"   -> (() => new LempIndex()),
       "RECDEX" -> (() => new Recdex(numClusters = 3, blockSize = 8))))
     test(s"topKAll($label) matches the DuckDB oracle on integer vectors") {
       val (u, i) = intModel(40, 25, 4, seed = label.hashCode)
@@ -126,7 +126,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val usersDf = SparkMips.toDf(spark, u, "user_id", numPartitions = 4)
     val itemsDf = SparkMips.toDf(spark, i, "item_id", numPartitions = 1)
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 3,
-      Seq(new LempIndex(bucketSize = 32), new Recdex(3, 8)),
+      Seq(new LempIndex(), new Recdex(3, 8)),
       RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1L << 10))
     assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
     val got = df.collect().groupBy(_.getLong(0))
@@ -157,8 +157,8 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
   /** Users of [[dominantItemModel]]. */
   private val DominantUsers = 2400
 
-  /** One dominant item aligned with every user: LEMP's first bucket holds
-    * the answer and its bound prunes the rest, while MM scores all 3000
+  /** One dominant item aligned with every user: LEMP's first item is the
+    * answer and its length bound prunes the rest, while MM scores all 3000
     * items, so an index wins RECOPT. Every user's top-1 is item 0. The
     * users are many because MM's estimate grows with them and LEMP's build
     * does not: with 600, LEMP's build (run once per call, so never
@@ -180,8 +180,8 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     // One call first to compile LEMP's point query: before the JIT has, it
     // ran 20-40x slower per user than after and MM won the estimate.
     SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 1,
-      Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)), RecOptConfig(sampleFraction = 1.0))._1.count()
-    val lemp = new CountingSolver(new LempIndex(bucketSize = 16))
+      Seq(new LempIndex(), new Recdex(3, 8)), RecOptConfig(sampleFraction = 1.0))._1.count()
+    val lemp = new CountingSolver(new LempIndex())
     val recdex = new CountingSolver(new Recdex(3, 8))
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 1,
       Seq(lemp, recdex), RecOptConfig(sampleFraction = 1.0))
@@ -199,7 +199,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     SparkMipsSpec.queried.clear()
     val (df, report) = SparkMips.topKAllWithRecOpt(spark,
       SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 1,
-      Seq(new CountingSolver(new LempIndex(bucketSize = 16)), new CountingSolver(new Recdex(3, 8))),
+      Seq(new CountingSolver(new LempIndex()), new CountingSolver(new Recdex(3, 8))),
       RecOptConfig(sampleFraction = 1.0))
     val rows = df.collect()
     assert(report.chosen != "MM", s"estimates ${report.estimates}")
@@ -222,7 +222,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     // floor = 1 user at l2CacheBytes = 1, so half of the users are sampled
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
       SparkMips.toDf(spark, i, "item_id", 1), 1,
-      Seq(new CountingSolver(new LempIndex(bucketSize = 16)), new CountingSolver(new Recdex(3, 8))),
+      Seq(new CountingSolver(new LempIndex()), new CountingSolver(new Recdex(3, 8))),
       RecOptConfig(sampleFraction = 0.5, l2CacheBytes = 1))
     assert(report.sampleSize > 0 && report.sampleSize < DominantUsers)
     assert(counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == partitions)
@@ -359,7 +359,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
       ListenerBusAccess.drain(sc)
       started.clear()
       val (df, _) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 3,
-        Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)), RecOptConfig(sampleFraction = 0.2))
+        Seq(new LempIndex(), new Recdex(3, 8)), RecOptConfig(sampleFraction = 0.2))
       ListenerBusAccess.drain(sc)
       assert(started.size == 2, s"eager jobs ${started.asScala}: item collect and timing pass")
       assert(df.collect().length == 600)
@@ -372,7 +372,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val (u, i) = ModelZoo.tiny(200, 60, 8, seed = 113)
     val (_, report) = SparkMips.topKAllWithRecOpt(spark,
       SparkMips.toDf(spark, u, "user_id", 4), SparkMips.toDf(spark, i, "item_id", 1), 2,
-      Seq(new LempIndex(bucketSize = 16)), RecOptConfig(sampleFraction = 1.0))
+      Seq(new LempIndex()), RecOptConfig(sampleFraction = 1.0))
     assert(report.sampleSize == 200 && report.totalUsers == 200)
     assert(report.estimates.map(_.name) == Seq("MM", "LEMP"))
     val loser = report.estimates.find(_.name != report.chosen).get
@@ -412,7 +412,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val (u, i) = ModelZoo.tiny(200, 60, 8, seed = 149, concentrated = true)
     val before = spark.sparkContext.getPersistentRDDs.keySet
     val (df, _) = SparkMips.topKAllWithRecOpt(spark, SparkMips.toDf(spark, u, "user_id", 4),
-      SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new LempIndex(bucketSize = 16), new Recdex(3, 8)),
+      SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new LempIndex(), new Recdex(3, 8)),
       RecOptConfig(sampleFraction = 0.2, l2CacheBytes = 1))
     def served = df.collect().map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted.toSeq
     val first = served
