@@ -71,27 +71,6 @@ object Gemm {
     c
   }
 
-  /** C = A * B (plain orientation), used for small f x f transforms. */
-  def ab(a: Matrix, b: Matrix): Matrix = {
-    require(a.cols == b.rows, s"inner dims differ: ${a.cols} vs ${b.rows}")
-    val m = a.rows; val k = a.cols; val n = b.cols
-    val c = Matrix.zeros(m, n)
-    var i = 0
-    while (i < m) {
-      var p = 0
-      while (p < k) {
-        val aip = a(i, p)
-        if (aip != 0.0) {
-          var j = 0
-          while (j < n) { c.set(i, j, c(i, j) + aip * b(p, j)); j += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
-    c
-  }
-
   /** Gram matrix G = A^T * A (f x f), used by the thin SVD. */
   def gram(a: Matrix): Matrix = {
     val k = a.cols

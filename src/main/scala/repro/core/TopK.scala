@@ -106,6 +106,38 @@ object TopK {
     * scan. Score rows of MM models put a few scores in each top bucket. */
   private val MaxSortedBucket = 64
 
+  /** Ids of `keys` by key descending, then id ascending — the order of
+    * `sortBy(i => (-keys(i), i))` with doubles compared as
+    * `java.lang.Double.compare` does — without boxing a key per comparison:
+    * a bottom-up merge sort of the ids, stable, so equal keys keep their
+    * ids ascending. */
+  def descendingOrder(keys: Array[Double]): Array[Int] = {
+    val n = keys.length
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var l = lo; var r = mid; var o = lo
+        while (o < hi) {
+          // the right run goes first only on a strictly higher key
+          if (l == mid || (r < hi &&
+              java.lang.Double.compare(-keys(src(r)), -keys(src(l))) < 0)) {
+            dst(o) = src(r); r += 1
+          } else { dst(o) = src(l); l += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
+  }
+
   /** Exact top-K over one row of a score matrix (MM passes a one-row matrix);
     * item ids are column indices. Rows of at most [[SelectRowsPerK]]·K
     * scores take [[bucketSelect]], longer ones [[heapScan]]; both return the

@@ -1,6 +1,6 @@
 package repro.fexipro
 
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{Matrix, MipsSolver, PreparedMips, TopK, TopKHeap, TopKResult}
 import repro.linalg.Svd
 
 /** FEXIPRO — the SIGMOD 2017 baseline (Li et al.), point-query oriented.
@@ -74,7 +74,7 @@ final class Fexipro(val useReduction: Boolean) extends MipsSolver {
 
     // sort by norm descending for incremental length pruning
     val norms = txItems.rowNorms
-    val order = Array.tabulate(n)(identity).sortBy(i => (-norms(i), i))
+    val order = TopK.descendingOrder(norms)
     val sorted = txItems.selectRows(order)
     val sortedNorms = order.map(norms)
 

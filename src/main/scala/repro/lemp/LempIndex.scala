@@ -1,6 +1,6 @@
 package repro.lemp
 
-import repro.core.{Matrix, MipsSolver, PreparedMips, TopKHeap, TopKResult}
+import repro.core.{Matrix, MipsSolver, PreparedMips, TopK, TopKHeap, TopKResult}
 
 /** LEMP-LI — the SIGMOD 2015 / TODS 2016 baseline (Teflioudi et al.).
   *
@@ -35,7 +35,7 @@ final class LempIndex(val prefixStep: Int = 8) extends MipsSolver {
     val f = items.cols
     val norms = items.rowNorms
     // sort item ids by norm descending (stable tie-break on id for determinism)
-    val order = Array.tabulate(n)(identity).sortBy(i => (-norms(i), i))
+    val order = TopK.descendingOrder(norms)
     val sorted = items.selectRows(order)
     val sortedNorms = order.map(norms)
 

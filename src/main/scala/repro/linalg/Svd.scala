@@ -29,8 +29,9 @@ object Svd {
       out
     }
 
-    /** Rotate every row of a matrix: A' = A V. */
-    def rotateRows(a: Matrix): Matrix = Gemm.ab(a, v)
+    /** Rotate every row of a matrix: A' = A V, row r being `rotate(a.row(r))`. */
+    def rotateRows(a: Matrix): Matrix =
+      new Matrix(a.rows, v.cols, Array.range(0, a.rows).flatMap(r => rotate(a.row(r))))
   }
 
   /** Thin SVD of `a` via Jacobi on the f x f Gram matrix. */

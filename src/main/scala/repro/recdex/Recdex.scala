@@ -136,7 +136,7 @@ final class RecdexPrepared(items: Matrix, numClusters: Int, blockSize: Int) exte
             if (thB < thIc) itemNorms(i) * math.cos(thIc - thB) else itemNorms(i)
           i += 1
         }
-        val order = RecdexPrepared.boundOrder(bounds)
+        val order = TopK.descendingOrder(bounds)
         clusterOrder(j) = order
         clusterBounds(j) = order.map(bounds)
         val sorted = items.selectRows(order)
@@ -303,36 +303,4 @@ object RecdexPrepared {
     * factor of about 10^8 at f = 50. */
   private[recdex] def boundSlack(f: Int): Double =
     4.0 * math.sqrt((2.0 * f + 4.0) * math.ulp(1.0) / 2)
-
-  /** Item ids by bound descending, then id ascending — the order of
-    * `sortBy(i => (-bounds(i), i))` with doubles compared as
-    * `java.lang.Double.compare` does — without boxing a key per comparison:
-    * a bottom-up merge sort of the ids, stable, so equal bounds keep their
-    * ids ascending. */
-  private[recdex] def boundOrder(bounds: Array[Double]): Array[Int] = {
-    val n = bounds.length
-    var src = Array.range(0, n)
-    var dst = new Array[Int](n)
-    var width = 1
-    while (width < n) {
-      var lo = 0
-      while (lo < n) {
-        val mid = math.min(lo + width, n)
-        val hi = math.min(lo + 2 * width, n)
-        var l = lo; var r = mid; var o = lo
-        while (o < hi) {
-          // the right run goes first only on a strictly higher bound
-          if (l == mid || (r < hi &&
-              java.lang.Double.compare(-bounds(src(r)), -bounds(src(l))) < 0)) {
-            dst(o) = src(r); r += 1
-          } else { dst(o) = src(l); l += 1 }
-          o += 1
-        }
-        lo = hi
-      }
-      val t = src; src = dst; dst = t
-      width *= 2
-    }
-    src
-  }
 }

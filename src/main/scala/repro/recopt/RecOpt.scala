@@ -2,18 +2,16 @@ package repro.recopt
 
 import repro.core.{BruteForceMM, Matrix, MipsSolver, PreparedMips, TopKResult}
 import repro.stats.TTest
+import scala.annotation.unused
 
 /** Configuration for the RECOPT online optimizer (§4).
   *
-  * @param sampleFraction fraction of users to time each strategy on (paper
-  *                       uses 0.5–1%)
-  * @param l2CacheBytes   assumed L2 cache size; every candidate's sample is at
-  *                       least the users that fill 4x this (§4.1's floor)
+  * @param sampleFraction fraction of each block's users to time each
+  *                       strategy on, at least one (paper uses 0.5–1%)
   * @param seed           PRNG seed for the user sample
   */
 final case class RecOptConfig(
     sampleFraction: Double = 0.01,
-    l2CacheBytes: Long = 1L << 20,
     seed: Long = 7,
 )
 
@@ -83,24 +81,26 @@ final case class RecOptReport(
 /** RECOPT — the sampling-based MIPS serving optimizer (§4.1).
   *
   * Pipeline: (1) build every candidate index in full (construction is cheap
-  * relative to traversal — Fig. 2); (2) on each block of users, one of P,
-  * pick a random user sample, the same for every candidate and no smaller
-  * than the block's share of the users that fill 4x L2 (§4.1's floor,
-  * [[sampleSize]]), bind every candidate to the block (RECDEX builds its
-  * user index over it) and time it in chunks on the sample, stopping an
-  * index early once a t-test separates it from MM ([[onBlock]]); (3)
-  * extrapolate each strategy's total runtime, pick the minimum ([[report]]);
-  * (4) keep the winner's sampled results and serve the rest of each block
-  * with what the winner built for it ([[TimedBlock.serve]]). Local
-  * [[serveAll]] is one block, part 0 of 1; Spark's blocks are its partitions.
+  * relative to traversal — Fig. 2); (2) on each block of users pick a
+  * random sample of a `sampleFraction` of its rows, the same for every
+  * candidate ([[sampleSize]]), bind every candidate to the block (RECDEX
+  * builds its user index over it) and time it in chunks on the sample,
+  * stopping an index early once a t-test separates it from MM
+  * ([[onBlock]]); (3) extrapolate each strategy's total runtime, pick the
+  * minimum ([[report]]); (4) keep the winner's sampled results and serve
+  * the rest of each block with what the winner built for it
+  * ([[TimedBlock.serve]]). Local [[serveAll]] is one block, part 0; Spark's
+  * blocks are its partitions.
+  *
+  * §4.1 also sets a floor on the sample, the users that fill 4x L2, so that
+  * a blocked MM is timed with its steady-state cache behaviour. There is no
+  * such floor here: MM scores one user at a time against dimension-major
+  * items, and its per-user cost does not depend on the sample size.
   */
 object RecOpt {
 
   /** p-value below which the t-test stops timing an index. */
   val TTestAlpha = 0.05
-
-  /** Users an index is timed on before the first t-test. */
-  val MinTTestUsers = 16
 
   /** Sampled users each candidate serves per timed call. Of 16, 32 and 64,
     * 16 had the lowest Table 2 overhead (a stopped index is timed on at
@@ -122,26 +122,22 @@ object RecOpt {
     estimates.minBy(e => (e.estTotalNanos, e.name))
   }
 
-  /** Minimum sample size such that the user block occupies >= 4x L2 (§4.1). */
-  def minSampleForCache(f: Int, l2CacheBytes: Long): Int =
-    math.max(1, math.ceil(4.0 * l2CacheBytes / (f.toLong * 8)).toInt)
-
-  /** Rows to time in a block of `rows` users, one of `blocks`: a
-    * `sampleFraction` of them, never below ⌈cache-occupancy floor / blocks⌉
-    * nor above `rows`. Local [[serveAll]] is one block; Spark passes its user
-    * partition count, which the driver knows without counting the users. */
-  def sampleSize(rows: Int, f: Int, cfg: RecOptConfig, blocks: Int = 1): Int =
-    math.min(rows, math.max(math.ceil(rows * cfg.sampleFraction).toInt,
-      ((minSampleForCache(f, cfg.l2CacheBytes) + blocks - 1L) / blocks).toInt))
+  /** Rows to time in a block of `rows` users: ⌈`sampleFraction` · rows⌉, at
+    * least one and at most `rows`. Over any split of the users into blocks
+    * the samples sum to at least `sampleFraction` of them. */
+  def sampleSize(rows: Int, cfg: RecOptConfig): Int =
+    math.min(rows, math.max(1, math.ceil(rows * cfg.sampleFraction).toInt))
 
   /** The row picker of every block: `count` of `rows` rows, drawn by a
     * shuffle seeded with `seed`. Returns sorted row indices. */
   def sampleRows(rows: Int, count: Int, seed: Long): Array[Int] =
     new scala.util.Random(seed).shuffle((0 until rows).toVector).take(count).sorted.toArray
 
-  /** The local user sample: [[sampleSize]] rows picked with `cfg.seed`. */
-  def sampleIndices(totalUsers: Int, f: Int, cfg: RecOptConfig): Array[Int] =
-    sampleRows(totalUsers, sampleSize(totalUsers, f, cfg), cfg.seed)
+  /** The local user sample: [[sampleSize]] rows picked with `cfg.seed`.
+    * `f` is unused; perfbench's `Layers` still passes it, and it goes with
+    * ROADMAP item 1's benchmark change. */
+  def sampleIndices(totalUsers: Int, @unused f: Int, cfg: RecOptConfig): Array[Int] =
+    sampleRows(totalUsers, sampleSize(totalUsers, cfg), cfg.seed)
 
   /** Index construction (C_I) for every candidate: `(name, prepared,
     * buildNanos)` for MM first, whose "build" only wraps the item matrix and
@@ -154,13 +150,13 @@ object RecOpt {
       (solver.name, prep, System.nanoTime() - t0)
     }
 
-  /** RECOPT on block `part` of `parts`: picks [[sampleSize]]`(rows, f, cfg,
-    * parts)` rows with [[sampleRows]] seeded with `cfg.seed + part` (part 0
-    * of 1 picks [[sampleIndices]]' rows) and times the `candidates`, MM
-    * first, on them ([[timeBlock]]). An empty block times nothing. */
-  def onBlock(block: Matrix, part: Int, parts: Int, k: Int, cfg: RecOptConfig,
+  /** RECOPT on block number `part`: picks [[sampleSize]]`(rows, cfg)` rows
+    * with [[sampleRows]] seeded with `cfg.seed + part` (part 0 picks
+    * [[sampleIndices]]' rows) and times the `candidates`, MM first, on them
+    * ([[timeBlock]]). An empty block times nothing. */
+  def onBlock(block: Matrix, part: Int, k: Int, cfg: RecOptConfig,
               candidates: Seq[(String, PreparedMips)]): TimedBlock = {
-    val sampled = sampleRows(block.rows, sampleSize(block.rows, block.cols, cfg, parts), cfg.seed + part)
+    val sampled = sampleRows(block.rows, sampleSize(block.rows, cfg), cfg.seed + part)
     new TimedBlock(block.rows, sampled,
       if (block.rows == 0) Seq.empty else timeBlock(block, sampled, k, candidates))
   }
@@ -172,9 +168,9 @@ object RecOpt {
     * [[ChunkUsers]] per timed call, timed like the bind on the thread's CPU
     * time ([[busyNanos]]). MM, which `candidates` must start with, serves them
     * all; its per-user mean is the baseline. Every other candidate stops
-    * once, after at least [[MinTTestUsers]] users and two chunks (the t-test
-    * needs two values), a one-sample t-test of its per-user cost per chunk
-    * against MM's mean has p < [[TTestAlpha]].
+    * once a one-sample t-test of its per-user cost per chunk against MM's
+    * mean has p < [[TTestAlpha]], so after two chunks at the earliest (the
+    * t-test needs two values).
     * Returns one timing per candidate, in order. */
   private[recopt] def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
                                 candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
@@ -189,8 +185,7 @@ object RecOpt {
       val perUser = new TTest.Running
       var busy = 0L
       var done = 0
-      def separated = done >= MinTTestUsers &&
-        mmPerUser.exists(TTest.pValue(perUser.summary, _) < TTestAlpha)
+      def separated = mmPerUser.exists(TTest.pValue(perUser.summary, _) < TTestAlpha)
       while (done < n && !separated) {
         val rows = sampled.slice(done, math.min(n, done + ChunkUsers))
         val t0 = busyNanos()
@@ -249,17 +244,26 @@ object RecOpt {
     (block.serve(report.chosen), report.copy(totalNanos = System.nanoTime() - t0))
   }
 
-  /** Build every candidate, run [[onBlock]] on `users` as part 0 of 1 and
+  /** Build every candidate, run [[onBlock]] on `users` as part 0 and
     * decide, extrapolating to `totalUsers`. Fails before building anything
-    * if `users` is empty, its dimension differs from the items' or k < 1. */
+    * if `users` is empty, its dimension differs from the items', a user or
+    * an item holds a NaN or infinite value, or k < 1. */
   private def onUsers(users: Matrix, items: Matrix, k: Int, indexSolvers: Seq[MipsSolver],
                       totalUsers: Long, cfg: RecOptConfig): (RecOptReport, TimedBlock) = {
     val t0 = System.nanoTime()
     require(users.cols == items.cols, s"users have ${users.cols} features, items have ${items.cols}")
     require(users.rows > 0, "user matrix is empty: nothing to serve")
+    requireFinite(users, "user")
+    requireFinite(items, "item")
     require(k >= 1, s"k must be >= 1, got $k")
     val candidates = buildCandidates(items, indexSolvers)
-    val block = onBlock(users, 0, 1, k, cfg, candidates.map { case (name, prep, _) => name -> prep })
+    val block = onBlock(users, 0, k, cfg, candidates.map { case (name, prep, _) => name -> prep })
     (report(candidates.map { case (name, _, build) => name -> build }, block.costs, totalUsers, t0), block)
+  }
+
+  /** Fails naming the first row of `m` that holds a NaN or infinite value. */
+  private def requireFinite(m: Matrix, kind: String): Unit = {
+    val bad = m.data.indexWhere(v => !java.lang.Double.isFinite(v))
+    require(bad < 0, s"$kind ${bad / m.cols}: features hold a NaN or infinite value")
   }
 }

@@ -24,7 +24,7 @@ import repro.recopt.{RecOpt, RecOptConfig, RecOptReport}
   * RECOPT decides where the users live: the driver builds every candidate
   * once and broadcasts them, one Spark job decodes each partition once and
   * runs RECOPT's per-block function on it ([[RecOpt.onBlock]]: it samples
-  * the partition's share of the users, RECDEX builds its user index over the
+  * a fraction of the partition's users, RECDEX builds its user index over the
   * partition, every candidate is timed in chunks on the sample), the driver
   * extrapolates and decides, and each kept block serves itself with the
   * winner ([[repro.recopt.TimedBlock.serve]]), as local `RecOpt.serveAll`
@@ -98,16 +98,16 @@ object SparkMips {
     *
     * Decision phase, eager, two Spark jobs: collect the items; build MM and
     * every candidate once on the driver (C_I) and broadcast them; then one
-    * pass decodes each user partition p of P and runs [[RecOpt.onBlock]] on
-    * it as part p of P: it samples the partition's share of the users (one
-    * partition samples what local `serveAll` samples), binds every candidate
-    * to the whole block (RECDEX builds its user index over it, a per-block
-    * cost added to its build) and times it in chunks on the sample. Each
-    * timed block is kept in memory with every candidate's sampled results
-    * and binding. The pass returns each block's row count with its costs;
-    * the driver sums the counts to |U| (no job counts the users first),
-    * extrapolates and decides. Serve phase, lazy: the returned DataFrame
-    * maps over the same blocks and encodes each block's
+    * pass decodes each user partition p and runs [[RecOpt.onBlock]] on it as
+    * part p: it samples a `sampleFraction` of the partition's users, at least
+    * one (one partition samples what local `serveAll` samples), binds every
+    * candidate to the whole block (RECDEX builds its user index over it, a
+    * per-block cost added to its build) and times it in chunks on the
+    * sample. Each timed block is kept in memory with every candidate's
+    * sampled results and binding. The pass returns each block's row count
+    * with its costs; the driver sums the counts to |U| (no job counts the
+    * users first), extrapolates and decides. Serve phase, lazy: the returned
+    * DataFrame maps over the same blocks and encodes each block's
     * [[repro.recopt.TimedBlock.serve]] with the winner, which drops the
     * other candidates' bindings and reuses the winner's sampled results and
     * binding, so RECDEX never clusters a block twice. The report's
@@ -133,10 +133,9 @@ object SparkMips {
 
     // --- one pass: decode every partition once, time the candidates on its sample ---
     val bCandidates = spark.sparkContext.broadcast(candidates.map { case (name, prep, _) => name -> prep })
-    val partitions = userRows.getNumPartitions
     val blocks = userRows.mapPartitionsWithIndex { (p, it) =>
       val (ids, block) = decode(it, "user", f)
-      Iterator.single(ids -> RecOpt.onBlock(block, p, partitions, k, cfg, bCandidates.value))
+      Iterator.single(ids -> RecOpt.onBlock(block, p, k, cfg, bCandidates.value))
     }.persist(StorageLevel.MEMORY_ONLY)
     val passed = blocks.map { case (_, b) => (b.rows.toLong, b.costs) }.collect()
     val totalUsers = passed.map(_._1).sum

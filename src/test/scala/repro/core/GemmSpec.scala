@@ -6,11 +6,6 @@ import repro.PropSupport
 
 class GemmSpec extends AnyFunSuite with PropSupport {
 
-  private def maxAbsDiff(a: Matrix, b: Matrix): Double = {
-    require(a.rows == b.rows && a.cols == b.cols)
-    a.data.zip(b.data).map { case (x, y) => math.abs(x - y) }.max
-  }
-
   test("abt on a hand-checked example") {
     val a = Matrix.fromRows(Seq(Array(1.0, 2.0), Array(3.0, 4.0)))
     val b = Matrix.fromRows(Seq(Array(5.0, 6.0), Array(7.0, 8.0), Array(9.0, 10.0)))
@@ -47,25 +42,6 @@ class GemmSpec extends AnyFunSuite with PropSupport {
       val a = Matrix.randn(m, k, seed)
       val b = Matrix.randn(n, k, seed + 1)
       bits(Gemm.abt(a, b)) == bits(Gemm.abtNaive(a, b))
-    }
-  }
-
-  test("ab (plain orientation) on a hand-checked example") {
-    val a = Matrix.fromRows(Seq(Array(1.0, 2.0)))
-    val b = Matrix.fromRows(Seq(Array(3.0, 4.0), Array(5.0, 6.0)))
-    val c = Gemm.ab(a, b)
-    assert(c.rows == 1 && c.cols == 2)
-    assert(c(0, 0) == 13.0 && c(0, 1) == 16.0)
-  }
-
-  checkProp("property: ab(a, b^T-as-rows) consistent with abt") {
-    Prop.forAll(Gen.choose(1, 15), Gen.choose(1, 15), Gen.choose(1, 15),
-      Gen.choose(0L, 10000L)) { (m, n, k, seed) =>
-      val a = Matrix.randn(m, k, seed)
-      val b = Matrix.randn(n, k, seed + 1)
-      // ab with explicit transpose of b must equal abt
-      val bT = Matrix.tabulate(k, n)((i, j) => b(j, i))
-      maxAbsDiff(Gemm.ab(a, bT), Gemm.abt(a, b)) < 1e-9
     }
   }
 

@@ -150,4 +150,19 @@ class TopKSpec extends AnyFunSuite with PropSupport {
       assert(e.getMessage.contains("k must be >= 1, got 0"), e.getMessage)
     }
   }
+
+  test("descendingOrder: key descending, then id ascending") {
+    val keys = Array(1.0, 2.0, 1.0, 0.0, -0.0, 2.0, -1.0, 0.0)
+    assert(TopK.descendingOrder(keys).toSeq == Seq(1, 5, 0, 2, 3, 7, 4, 6))
+    // same order as the boxed tuple sort, on tie-heavy and on distinct keys
+    val rng = new scala.util.Random(67)
+    Seq(0, 1, 2, 3, 17, 64, 100, 1000).foreach { n =>
+      val ties = Array.fill(n)(rng.nextInt(4) - 1.5)
+      val distinct = Array.fill(n)(rng.nextGaussian())
+      Seq(ties, distinct).foreach { b =>
+        val expect = Array.range(0, n).sortBy(i => (-b(i), i))
+        assert(TopK.descendingOrder(b).toSeq == expect.toSeq, s"n=$n")
+      }
+    }
+  }
 }

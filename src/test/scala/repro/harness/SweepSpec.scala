@@ -97,8 +97,7 @@ class SweepSpec extends AnyFunSuite {
     // tiny end-to-end smoke of the sweep machinery (not the full sweep)
     val (u, i) = repro.mf.ModelZoo.tiny(120, 60, 8, seed = 3)
     val model = repro.mf.ModelZoo.RefModel("tiny", "Netflix", 8, 1, 1, 1, u, i)
-    val c = Sweep.runCombo(model, 2,
-      repro.recopt.RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1L << 10))
+    val c = Sweep.runCombo(model, 2, repro.recopt.RecOptConfig(sampleFraction = 0.1))
     assert(c.fullSeconds.keySet == Sweep.AllStrategies.toSet)
     assert(c.fullSeconds.values.forall(_ > 0))
     assert(c.pairings.map(_.pairing) == Sweep.Pairings.map(_._1))

@@ -88,10 +88,10 @@ class SvdSpec extends AnyFunSuite with PropSupport {
     val items = Matrix.randn(20, 6, seed = 4)
     val svd = Svd.ofGram(items)
     val rotated = svd.rotateRows(items)
+    assert(rotated.rows == 20 && rotated.cols == 6)
     (0 until 20).foreach { r =>
-      val expect = svd.rotate(items.row(r))
-      val got = rotated.row(r)
-      expect.zip(got).foreach { case (e, g) => assert(math.abs(e - g) < 1e-9) }
+      val expect = svd.rotate(items.row(r)).map(java.lang.Double.doubleToRawLongBits)
+      assert(rotated.row(r).map(java.lang.Double.doubleToRawLongBits).toSeq == expect.toSeq, s"row $r")
     }
   }
 
@@ -108,7 +108,7 @@ class SvdSpec extends AnyFunSuite with PropSupport {
     // must carry most energy in its first coordinates.
     val base = Matrix.randn(100, 2, seed = 6)
     val lift = Matrix.randn(2, 10, seed = 7)
-    val items0 = Gemm.ab(base, lift)
+    val items0 = Gemm.abt(base, Matrix.tabulate(10, 2)((j, p) => lift(p, j)))
     val noise = Matrix.randn(100, 10, seed = 8, sigma = 0.01)
     val items = Matrix.tabulate(100, 10)((i, j) => items0(i, j) + noise(i, j))
     val rotated = Svd.ofGram(items).rotateRows(items)

@@ -183,19 +183,4 @@ class RecdexUserIndexSpec extends AnyFunSuite with PropSupport {
     val one = cpuNanos(serve(Array(17)))
     assert(one < bind / 4, s"one row $one ns, a bind $bind ns")
   }
-
-  test("bound order: bound descending, then id ascending") {
-    val bounds = Array(1.0, 2.0, 1.0, 0.0, -0.0, 2.0, -1.0, 0.0)
-    assert(RecdexPrepared.boundOrder(bounds).toSeq == Seq(1, 5, 0, 2, 3, 7, 4, 6))
-    // same order as the boxed tuple sort, on tie-heavy and on distinct bounds
-    val rng = new scala.util.Random(67)
-    Seq(0, 1, 2, 3, 17, 64, 100, 1000).foreach { n =>
-      val ties = Array.fill(n)(rng.nextInt(4) - 1.5)
-      val distinct = Array.fill(n)(rng.nextGaussian())
-      Seq(ties, distinct).foreach { b =>
-        val expect = Array.range(0, n).sortBy(i => (-b(i), i))
-        assert(RecdexPrepared.boundOrder(b).toSeq == expect.toSeq, s"n=$n")
-      }
-    }
-  }
 }

@@ -43,33 +43,29 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
 
   // ---- sample sizing ----
 
-  test("minSampleForCache: 4x 1MiB over f=100 doubles is 5243 users") {
-    // 4 * 1048576 / (100 * 8) = 5242.88 -> ceil = 5243
-    assert(RecOpt.minSampleForCache(100, 1L << 20) == 5243)
-  }
-
-  test("minSampleForCache never below 1") {
-    assert(RecOpt.minSampleForCache(1000000, 1) == 1)
-  }
-
-  test("sampleIndices respects the fraction and the cache floor") {
-    val cfg = RecOptConfig(sampleFraction = 0.01, l2CacheBytes = 1L << 14) // 16 KiB
+  test("sampleIndices samples the fraction of the rows, rounded up, at least one") {
+    val cfg = RecOptConfig(sampleFraction = 0.01)
     val idx = RecOpt.sampleIndices(10000, 8, cfg)
-    // floor = ceil(4*16384/64) = 1024 > 1% of 10000
-    assert(idx.length == 1024)
+    assert(idx.length == 100)
     assert(idx.toSeq == idx.toSeq.sorted)
     assert(idx.distinct.length == idx.length)
     assert(idx.forall(i => i >= 0 && i < 10000))
-    assert(idx.length == RecOpt.sampleSize(10000, 8, cfg))
+    assert(idx.length == RecOpt.sampleSize(10000, cfg))
+    // min(n, max(1, ceil(fraction * n))), whatever the dimension
+    for ((n, fraction, want) <- Seq((10001, 0.01, 101), (150, 0.01, 2), (99, 0.01, 1), (5000, 0.0, 1),
+        (1, 0.0, 1), (0, 0.5, 0), (7, 1.0, 7))) {
+      assert(RecOpt.sampleSize(n, RecOptConfig(sampleFraction = fraction)) == want, s"n=$n fraction=$fraction")
+      assert(RecOpt.sampleIndices(n, 300, RecOptConfig(sampleFraction = fraction)).length == want)
+    }
   }
 
   test("sampleIndices clamps to the population") {
-    val idx = RecOpt.sampleIndices(10, 4, RecOptConfig(sampleFraction = 0.5))
+    val idx = RecOpt.sampleIndices(10, 4, RecOptConfig(sampleFraction = 1.5))
     assert(idx.length == 10)
   }
 
   test("sampleIndices is sampleRows of sampleSize rows with the config's seed") {
-    val cfg = RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1, seed = 5)
+    val cfg = RecOptConfig(sampleFraction = 0.1, seed = 5)
     assert(RecOpt.sampleIndices(700, 8, cfg).toSeq == RecOpt.sampleRows(700, 70, 5).toSeq)
     val rows = RecOpt.sampleRows(700, 70, 5)
     assert(rows.toSeq == rows.toSeq.sorted && rows.distinct.length == 70)
@@ -93,7 +89,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
 
   test("onBlock: an empty block has no costs and serves no rows") {
     val items = Matrix.randn(30, 8, seed = 5)
-    val block = RecOpt.onBlock(new Matrix(0, 8, Array.empty[Double]), 2, 4, 3, RecOptConfig(),
+    val block = RecOpt.onBlock(new Matrix(0, 8, Array.empty[Double]), 2, 3, RecOptConfig(),
       candidates(items))
     assert(block.rows == 0 && block.sampled.isEmpty && block.costs.isEmpty)
     assert(block.serve("MM").isEmpty)
@@ -103,7 +99,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     test(s"onBlock: serving a block twice with $chosen returns the same ids and score bits") {
       val (users, items) = ModelZoo.tiny(200, 90, 8, seed = 167, concentrated = true)
       // a fifth of the rows sampled, so the binding serves the rest
-      val block = RecOpt.onBlock(users, 0, 1, 4, RecOptConfig(sampleFraction = 0.2, l2CacheBytes = 1),
+      val block = RecOpt.onBlock(users, 0, 4, RecOptConfig(sampleFraction = 0.2),
         candidates(items))
       assert(block.sampled.length == 40 && block.costs.map(_._1) == Seq("MM", "LEMP", "RECDEX"))
       val first = block.serve(chosen)
@@ -112,15 +108,16 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
       SolverTestSupport.assertIdentical(block.serve(chosen), first, s"$chosen, second serve")
     }
 
-  test("onBlock: part 0 of 1 samples sampleIndices' rows, and part p of P its share seeded with seed + p") {
+  test("onBlock: part 0 samples sampleIndices' rows, and part p as many seeded with seed + p") {
     val (users, items) = ModelZoo.tiny(300, 40, 8, seed = 173)
     val mm = Seq("MM" -> new BruteForceMM().prepare(items))
-    for (fraction <- Seq(0.05, 0.3, 1.0); seed <- Seq(3L, 17L)) {
-      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1L << 10, seed = seed)
-      assert(RecOpt.onBlock(users, 0, 1, 2, cfg, mm).sampled.toSeq ==
+    for (fraction <- Seq(0.0, 0.05, 0.3, 1.0); seed <- Seq(3L, 17L)) {
+      val cfg = RecOptConfig(sampleFraction = fraction, seed = seed)
+      assert(RecOpt.onBlock(users, 0, 2, cfg, mm).sampled.toSeq ==
         RecOpt.sampleIndices(300, 8, cfg).toSeq, s"fraction $fraction, seed $seed")
-      assert(RecOpt.onBlock(users, 2, 4, 2, cfg, mm).sampled.toSeq ==
-        RecOpt.sampleRows(300, RecOpt.sampleSize(300, 8, cfg, 4), seed + 2).toSeq)
+      val part2 = RecOpt.onBlock(users, 2, 2, cfg, mm).sampled
+      assert(part2.length == math.max(1, math.ceil(300 * fraction).toInt))
+      assert(part2.toSeq == RecOpt.sampleRows(300, part2.length, seed + 2).toSeq)
     }
   }
 
@@ -130,9 +127,10 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     test(s"serveAll returns exact results (concentrated=$conc)") {
       val (users, items) = ModelZoo.tiny(300, 150, 12, seed = 61, concentrated = conc)
       val expect = SolverTestSupport.bruteForce(users, items, 5)
+      // half the users sampled: the timing pass and the winner's binding each serve many rows
       val (got, report) = RecOpt.serveAll(users, items, 5,
         Seq(new LempIndex(), new Recdex(numClusters = 4, blockSize = 16)),
-        RecOptConfig(sampleFraction = 0.05, l2CacheBytes = 1L << 12))
+        RecOptConfig(sampleFraction = 0.5))
       SolverTestSupport.assertSame(got, expect, 1e-9, s"recopt conc=$conc")
       assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
       assert(report.estimates.map(_.name).toSet == Set("MM", "LEMP", "RECDEX"))
@@ -143,8 +141,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
   test("serveAll with no indexes degenerates to MM and still serves exactly") {
     val (users, items) = ModelZoo.tiny(100, 60, 8, seed = 67)
     val expect = SolverTestSupport.bruteForce(users, items, 3)
-    val (got, report) = RecOpt.serveAll(users, items, 3, Seq.empty,
-      RecOptConfig(sampleFraction = 0.05, l2CacheBytes = 1L << 10))
+    val (got, report) = RecOpt.serveAll(users, items, 3, Seq.empty, RecOptConfig(sampleFraction = 0.05))
     SolverTestSupport.assertSame(got, expect, 1e-9)
     assert(report.chosen == "MM")
     assert(report.wastedNanos == 0L)
@@ -157,15 +154,27 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     override def prepare(items: Matrix): PreparedMips = { prepares += 1; new LempIndex().prepare(items) }
   }
 
-  for ((label, users, k, message) <- Seq(
-      ("users with more features than the items", Matrix.randn(200, 12, seed = 3), 3,
+  /** `m` with entry (r, c) set to `v`. */
+  private def withEntry(m: Matrix, r: Int, c: Int, v: Double): Matrix = {
+    val out = m.copy()
+    out.set(r, c, v)
+    out
+  }
+
+  private val goodItems = Matrix.randn(30, 8, seed = 5)
+
+  for ((label, users, items, k, message) <- Seq(
+      ("users with more features than the items", Matrix.randn(200, 12, seed = 3), goodItems, 3,
         "users have 12 features, items have 8"),
-      ("users with fewer features than the items", Matrix.randn(200, 4, seed = 3), 3,
+      ("users with fewer features than the items", Matrix.randn(200, 4, seed = 3), goodItems, 3,
         "users have 4 features, items have 8"),
-      ("an empty user matrix", new Matrix(0, 8, Array.empty[Double]), 3, "user matrix is empty"),
-      ("k = 0", Matrix.randn(200, 8, seed = 3), 0, "k must be >= 1, got 0")))
+      ("an empty user matrix", new Matrix(0, 8, Array.empty[Double]), goodItems, 3, "user matrix is empty"),
+      ("k = 0", Matrix.randn(200, 8, seed = 3), goodItems, 0, "k must be >= 1, got 0"),
+      ("a NaN user", withEntry(Matrix.randn(200, 8, seed = 3), 57, 3, Double.NaN), goodItems, 3,
+        "user 57: features hold a NaN or infinite value"),
+      ("an infinite item", Matrix.randn(200, 8, seed = 3), withEntry(goodItems, 12, 7, Double.PositiveInfinity),
+        3, "item 12: features hold a NaN or infinite value")))
     test(s"RECOPT rejects $label before building an index") {
-      val items = Matrix.randn(30, 8, seed = 5)
       val solver = new CountingPrepares
       for (call <- Seq[() => Any](() => RecOpt.serveAll(users, items, k, Seq(solver)),
           () => RecOpt.estimate(users, items, k, Seq(solver), totalUsers = 100))) {
@@ -324,8 +333,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val (users, items) = ModelZoo.tiny(350, 120, 10, seed = 103, concentrated = true)
     val expect = SolverTestSupport.bruteForce(users, items, 4)
     val (got, report) = RecOpt.serveAll(users, items, 4,
-      Seq(new Recdex(numClusters = 4, blockSize = 16)),
-      RecOptConfig(sampleFraction = 0.05, l2CacheBytes = 1L << 10))
+      Seq(new Recdex(numClusters = 4, blockSize = 16)), RecOptConfig(sampleFraction = 0.05))
     SolverTestSupport.assertSame(got, expect, 1e-9, "serveAll+userindex")
     assert(Seq("MM", "RECDEX").contains(report.chosen))
   }

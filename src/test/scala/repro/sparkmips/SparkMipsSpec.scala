@@ -126,8 +126,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val usersDf = SparkMips.toDf(spark, u, "user_id", numPartitions = 4)
     val itemsDf = SparkMips.toDf(spark, i, "item_id", numPartitions = 1)
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, itemsDf, 3,
-      Seq(new LempIndex(), new Recdex(3, 8)),
-      RecOptConfig(sampleFraction = 0.1, l2CacheBytes = 1L << 10))
+      Seq(new LempIndex(), new Recdex(3, 8)), RecOptConfig(sampleFraction = 0.1))
     assert(Seq("MM", "LEMP", "RECDEX").contains(report.chosen))
     val got = df.collect().groupBy(_.getLong(0))
     val expect = SolverTestSupport.bruteForce(u, i, 3)
@@ -219,11 +218,10 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val partitions = usersDf.rdd.mapPartitions(it => Iterator(it.nonEmpty)).collect().count(identity)
     SparkMipsSpec.userIndexBuilds.clear()
     SparkMipsSpec.batchCalls.clear()
-    // floor = 1 user at l2CacheBytes = 1, so half of the users are sampled
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
       SparkMips.toDf(spark, i, "item_id", 1), 1,
       Seq(new CountingSolver(new LempIndex()), new CountingSolver(new Recdex(3, 8))),
-      RecOptConfig(sampleFraction = 0.5, l2CacheBytes = 1))
+      RecOptConfig(sampleFraction = 0.5))
     assert(report.sampleSize > 0 && report.sampleSize < DominantUsers)
     assert(counted(SparkMipsSpec.userIndexBuilds, "RECDEX") == partitions)
     val rows = df.collect()
@@ -277,8 +275,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val usersDf = SparkMips.toDf(spark, idFirstUsers(300, 131), "user_id", 1)
     val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
     for (fraction <- Seq(0.05, 0.3, 0.8); seed <- Seq(3L, 17L, 29L)) {
-      // floor = 1 user at l2CacheBytes = 1, so the fraction sets the sample
-      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 1, seed = seed)
+      val cfg = RecOptConfig(sampleFraction = fraction, seed = seed)
       SparkMipsSpec.timedCalls.clear()
       val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq(recording), cfg)
       val local = RecOpt.sampleIndices(300, 4, cfg).map(_.toLong)
@@ -292,29 +289,27 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     }
   }
 
-  /** What a block of `n` rows, one of `blocks`, samples: its fraction, but
-    * at least its share of the cache floor (`floor` users), and at most `n`. */
-  private def blockSample(n: Int, blocks: Int, fraction: Double, floor: Int): Int =
-    math.min(n, math.max(math.ceil(fraction * n).toInt, (floor + blocks - 1) / blocks))
+  /** What a block of `n` rows samples: its fraction, rounded up, at least
+    * one row and at most `n`. */
+  private def blockSample(n: Int, fraction: Double): Int =
+    math.min(n, math.max(1, math.ceil(fraction * n).toInt))
 
-  test("on 4 partitions, each partition samples its fraction or a quarter of the floor, " +
-      "whichever is more") {
+  test("on 4 partitions, each partition samples its fraction, rounded up, at least one row") {
     val usersDf = SparkMips.toDf(spark, idFirstUsers(300, 131), "user_id", 4)
     val items = SparkMips.toDf(spark, Matrix.randn(40, 4, seed = 137), "item_id", 1)
     val sizes = usersDf.rdd.mapPartitions(it => Iterator(it.size)).collect()
     assert(sizes.toSeq == Seq(75, 75, 75, 75))
-    // at f = 4, l2CacheBytes = 800 puts the floor at 4 * 800 / 32 = 100 users
     for (fraction <- Seq(0.0, 0.05, 0.3, 0.5, 1.0)) {
-      val cfg = RecOptConfig(sampleFraction = fraction, l2CacheBytes = 800, seed = 3)
+      val cfg = RecOptConfig(sampleFraction = fraction, seed = 3)
       val (_, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq.empty, cfg)
-      assert(report.sampleSize == sizes.map(blockSample(_, 4, fraction, 100)).sum, s"fraction $fraction")
+      assert(report.sampleSize == sizes.map(blockSample(_, fraction)).sum, s"fraction $fraction")
       assert(report.totalUsers == 300)
     }
-    assert(blockSample(75, 4, 0.3, 100) == 25 && blockSample(75, 4, 0.5, 100) == 38)
+    assert(Seq(0.0, 0.05, 0.3, 0.5, 1.0).map(blockSample(75, _)) == Seq(1, 4, 23, 38, 75))
   }
 
-  checkProp("property: on skewed partitions where the floor binds, each non-empty partition " +
-      "samples by the per-block rule and RECOPT serves brute force's rows", minTests = 8) {
+  checkProp("property: on skewed partitions, each non-empty partition samples by the " +
+      "per-block rule and RECOPT serves brute force's rows", minTests = 8) {
     // four partitions of 150 users; the filter keeps the first n_p of partition p
     val u = idFirstUsers(600, 157)
     val i = Matrix.randn(40, 4, seed = 158)
@@ -322,26 +317,26 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val items = SparkMips.toDf(spark, i, "item_id", 1)
     val expect = SolverTestSupport.bruteForce(u, i, 2)
     val size = Gen.frequency(1 -> Gen.const(0), 1 -> Gen.oneOf(10, 50, 140), 2 -> Gen.choose(1, 150))
-    Prop.forAllNoShrink(Gen.listOfN(4, size).suchThat(_.sum > 0), Gen.oneOf(0.0, 0.05, 0.1),
-        Gen.choose(4, 128)) { (sizes, fraction, floor) =>
+    Prop.forAllNoShrink(Gen.listOfN(4, size).suchThat(_.sum > 0), Gen.oneOf(0.0, 0.05, 0.1, 0.2)) {
+        (sizes, fraction) =>
       val kept = sizes.zipWithIndex.flatMap { case (n, p) => (0 until n).map(r => 150L * p + r) }
       val usersDf = all.where(col("user_id").isin(kept: _*))
       SparkMipsSpec.timedCalls.clear()
-      // l2CacheBytes = 8 * floor puts the floor at `floor` users for f = 4;
-      // each partition then samples at most 32 rows (ceil(0.1 * 150) = 15,
-      // ceil(128 / 4) = 32), two chunks, all of which the spinning
-      // candidate is timed on before its t-test can stop it
+      // each partition samples at most 30 rows (ceil(0.2 * 150) = 30), two
+      // chunks, all of which the spinning candidate is timed on before its
+      // t-test can stop it
       val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf, items, 2, Seq(recording),
-        RecOptConfig(sampleFraction = fraction, l2CacheBytes = 8L * floor, seed = 11))
+        RecOptConfig(sampleFraction = fraction, seed = 11))
       val perPartition = recorded.groupBy(id => (id / 150).toInt).map { case (p, ids) => p -> ids.size }
-      val want = sizes.zipWithIndex.collect { case (n, p) if n > 0 => p -> blockSample(n, 4, fraction, floor) }
+      val want = sizes.zipWithIndex.collect { case (n, p) if n > 0 => p -> blockSample(n, fraction) }
       val rows = df.collect().map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted
       val bruteRows = kept.flatMap(id => (0 until 2).map(r =>
         (id, r + 1, expect(id.toInt).ids(r).toLong, expect(id.toInt).scores(r))))
       val ok = perPartition == want.toMap && recorded.distinct.length == recorded.length &&
-        report.sampleSize == want.map(_._2).sum && report.totalUsers == kept.length &&
+        report.sampleSize == want.map(_._2).sum && report.sampleSize >= fraction * kept.length &&
+        report.totalUsers == kept.length &&
         rows.toSeq == bruteRows
-      if (!ok) println(s"sizes $sizes fraction $fraction floor $floor: sampled $perPartition, want $want")
+      if (!ok) println(s"sizes $sizes fraction $fraction: sampled $perPartition, want $want")
       ok
     }
   }
@@ -391,11 +386,9 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
       .collect().toMap
     assert(partitionOf.values.toSet == Set(0, 1, 4))
     SparkMipsSpec.timedCalls.clear()
-    // floor = 1 user at l2CacheBytes = 1: one user of 12, rounded up to one
-    // per non-empty partition
+    // a fraction of 0 is raised to one user per non-empty partition
     val (df, report) = SparkMips.topKAllWithRecOpt(spark, usersDf,
-      SparkMips.toDf(spark, i, "item_id", 1), 2, Seq(recording),
-      RecOptConfig(sampleFraction = 0.0, l2CacheBytes = 1))
+      SparkMips.toDf(spark, i, "item_id", 1), 2, Seq(recording), RecOptConfig(sampleFraction = 0.0))
     assert(report.sampleSize == 3 && report.estimates.forall(_.usersTimed == 3))
     assert(recorded.map(partitionOf).sorted == Seq(0, 1, 4))
     val expect = SolverTestSupport.bruteForce(u, i, 2)
@@ -413,7 +406,7 @@ class SparkMipsSpec extends SparkSpec with PropSupport {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     val (df, _) = SparkMips.topKAllWithRecOpt(spark, SparkMips.toDf(spark, u, "user_id", 4),
       SparkMips.toDf(spark, i, "item_id", 1), 3, Seq(new LempIndex(), new Recdex(3, 8)),
-      RecOptConfig(sampleFraction = 0.2, l2CacheBytes = 1))
+      RecOptConfig(sampleFraction = 0.2))
     def served = df.collect().map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted.toSeq
     val first = served
     assert(first.length == 600)
