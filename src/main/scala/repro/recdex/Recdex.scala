@@ -46,8 +46,8 @@ import repro.core._
   * batch entrypoint, builds it once over a whole block, so RECOPT
   * (`RecOpt.onBlock`, locally and on each Spark partition) times that build
   * as construction cost C_I, times the walk in chunks of the block's sample
-  * with the same t-test stop as every other index, and serves the rest of
-  * the block from the same index.
+  * with the same t-test stop as every other index, and serves every row of
+  * the block, the sampled ones again, from the same index.
   */
 final class Recdex(val numClusters: Int = 8, val blockSize: Int = 4096) extends MipsSolver {
   require(numClusters >= 1, s"numClusters must be >= 1, got $numClusters")

@@ -8,12 +8,8 @@ import scala.annotation.unused
   *
   * @param sampleFraction fraction of each block's users to time each
   *                       strategy on, at least one (paper uses 0.5–1%)
-  * @param seed           PRNG seed for the user sample
   */
-final case class RecOptConfig(
-    sampleFraction: Double = 0.01,
-    seed: Long = 7,
-)
+final case class RecOptConfig(sampleFraction: Double = 0.01)
 
 /** Per-strategy runtime estimate produced from the sample. `buildNanos` is
   * the item-side build plus binding it to every block. */
@@ -28,37 +24,28 @@ final case class StrategyEstimate(
 /** One strategy's work on one block: `fixedNanos` bound it to the block
   * (RECDEX's user index build; about 0 for the others), and `nanos` is its
   * busy time on the first `users` sampled rows, both on [[RecOpt.timeBlock]]'s
-  * clock. `results(i)` is sampled row i's top-K, or null where the t-test
-  * stopped before it. `serve` is the binding, which answers block rows. */
+  * clock. `serve` is the binding, which answers block rows. */
 private[recopt] final class BlockTiming(val name: String, val fixedNanos: Long, val nanos: Long,
-                                        val users: Int, val results: Array[TopKResult],
-                                        val serve: Array[Int] => Array[TopKResult]) {
+                                        val users: Int, val serve: Array[Int] => Array[TopKResult]) {
   /** What [[RecOpt.report]] sums: `(name, fixedNanos, nanos, users)`. */
   def cost: (String, Long, Long, Int) = (name, fixedNanos, nanos, users)
 }
 
 /** One block of users after [[RecOpt.onBlock]] timed the candidates on it:
-  * its row count, its sampled rows and each candidate's timing and binding. */
-final class TimedBlock private[recopt] (val rows: Int, val sampled: Array[Int],
-                                        private var timings: Seq[BlockTiming]) {
+  * its row count and each candidate's timing and binding. */
+final class TimedBlock private[recopt] (val rows: Int, private var timings: Seq[BlockTiming]) {
   /** Each candidate's cost; none for an empty block, the winner's after [[serve]]. */
   def costs: Seq[(String, Long, Long, Int)] = timings.map(_.cost)
 
   /** Every row's top-K, result i for row i, from the `chosen` candidate:
-    * drops the others' bindings (RECDEX's user index with them), keeps the
-    * winner's sampled results and serves the other rows once, ascending,
-    * with its binding. An empty block serves no rows; serving again, also
-    * from another thread at once, returns the same results. */
+    * drops the others' bindings (RECDEX's user index with them) and serves
+    * every row, the sampled ones too, in one call of the winner's binding.
+    * An empty block serves no rows; serving again, also from another thread
+    * at once, returns the same results. */
   def serve(chosen: String): Array[TopKResult] = {
     timings = timings.filter(_.name == chosen)
     require(rows == 0 || timings.nonEmpty, s"no candidate $chosen was timed on this block")
-    val out = new Array[TopKResult](rows)
-    timings.foreach { winner =>
-      sampled.indices.foreach(i => out(sampled(i)) = winner.results(i))
-      val rest = out.indices.filter(out(_) == null).toArray
-      if (rest.nonEmpty) winner.serve(rest).zip(rest).foreach { case (res, r) => out(r) = res }
-    }
-    out
+    timings.headOption.fold(Array.empty[TopKResult])(_.serve(Array.range(0, rows)))
   }
 }
 
@@ -68,9 +55,10 @@ final case class RecOptReport(
     estimates: Seq[StrategyEstimate],
     sampleSize: Long,
     totalUsers: Long,
-    /** optimization work that did NOT produce reused results: the losing
-      * strategies' builds and sampled busy time. On Spark the busy time is
-      * summed over partitions timed concurrently. */
+    /** optimization work that serves no user: every strategy's sampled
+      * busy time, the winner's included, since its rows are served again,
+      * and the losing strategies' builds. On Spark the busy time is summed
+      * over partitions timed concurrently. */
     wastedNanos: Long,
     /** wall-clock of the call: local `serveAll` includes serving every user;
       * Spark `topKAllWithRecOpt` covers only the decision phase, not the
@@ -87,10 +75,10 @@ final case class RecOptReport(
   * builds its user index over it) and time it in chunks on the sample,
   * stopping an index early once a t-test separates it from MM
   * ([[onBlock]]); (3) extrapolate each strategy's total runtime, pick the
-  * minimum ([[report]]); (4) keep the winner's sampled results and serve
-  * the rest of each block with what the winner built for it
-  * ([[TimedBlock.serve]]). Local [[serveAll]] is one block, part 0; Spark's
-  * blocks are its partitions.
+  * minimum ([[report]]); (4) serve every row of each block, the sampled
+  * ones again, with what the winner built for it ([[TimedBlock.serve]]): the
+  * sample only times, and no candidate's sampled results are kept. Local
+  * [[serveAll]] is one block, part 0; Spark's blocks are its partitions.
   *
   * §4.1 also sets a floor on the sample, the users that fill 4x L2, so that
   * a blocked MM is timed with its steady-state cache behaviour. There is no
@@ -106,6 +94,10 @@ object RecOpt {
     * 16 had the lowest Table 2 overhead (a stopped index is timed on at
     * least two chunks), and the three served the benchmark workloads alike. */
   val ChunkUsers = 16
+
+  /** The user sample's seed: block `part` shuffles its rows with
+    * `SampleSeed + part`. */
+  private[recopt] val SampleSeed = 7L
 
   private val threads = java.lang.management.ManagementFactory.getThreadMXBean
 
@@ -133,11 +125,11 @@ object RecOpt {
   def sampleRows(rows: Int, count: Int, seed: Long): Array[Int] =
     new scala.util.Random(seed).shuffle((0 until rows).toVector).take(count).sorted.toArray
 
-  /** The local user sample: [[sampleSize]] rows picked with `cfg.seed`.
+  /** The local user sample: [[sampleSize]] rows picked with [[SampleSeed]].
     * `f` is unused; perfbench's `Layers` still passes it, and it goes with
     * ROADMAP item 1's benchmark change. */
   def sampleIndices(totalUsers: Int, @unused f: Int, cfg: RecOptConfig): Array[Int] =
-    sampleRows(totalUsers, sampleSize(totalUsers, cfg), cfg.seed)
+    sampleRows(totalUsers, sampleSize(totalUsers, cfg), SampleSeed)
 
   /** Index construction (C_I) for every candidate: `(name, prepared,
     * buildNanos)` for MM first, whose "build" only wraps the item matrix and
@@ -151,13 +143,13 @@ object RecOpt {
     }
 
   /** RECOPT on block number `part`: picks [[sampleSize]]`(rows, cfg)` rows
-    * with [[sampleRows]] seeded with `cfg.seed + part` (part 0 picks
+    * with [[sampleRows]] seeded with `SampleSeed + part` (part 0 picks
     * [[sampleIndices]]' rows) and times the `candidates`, MM first, on them
     * ([[timeBlock]]). An empty block times nothing. */
   def onBlock(block: Matrix, part: Int, k: Int, cfg: RecOptConfig,
               candidates: Seq[(String, PreparedMips)]): TimedBlock = {
-    val sampled = sampleRows(block.rows, sampleSize(block.rows, cfg), cfg.seed + part)
-    new TimedBlock(block.rows, sampled,
+    val sampled = sampleRows(block.rows, sampleSize(block.rows, cfg), SampleSeed + part)
+    new TimedBlock(block.rows,
       if (block.rows == 0) Seq.empty else timeBlock(block, sampled, k, candidates))
   }
 
@@ -170,7 +162,7 @@ object RecOpt {
     * all; its per-user mean is the baseline. Every other candidate stops
     * once a one-sample t-test of its per-user cost per chunk against MM's
     * mean has p < [[TTestAlpha]], so after two chunks at the earliest (the
-    * t-test needs two values).
+    * t-test needs two values). The chunks' results are dropped.
     * Returns one timing per candidate, in order. */
   private[recopt] def timeBlock(block: Matrix, sampled: Array[Int], k: Int,
                                 candidates: Seq[(String, PreparedMips)]): Seq[BlockTiming] = {
@@ -181,7 +173,6 @@ object RecOpt {
       val b0 = busyNanos()
       val serve = prep.bind(block, k)
       val fixed = busyNanos() - b0
-      val results = new Array[TopKResult](n)
       val perUser = new TTest.Running
       var busy = 0L
       var done = 0
@@ -189,14 +180,13 @@ object RecOpt {
       while (done < n && !separated) {
         val rows = sampled.slice(done, math.min(n, done + ChunkUsers))
         val t0 = busyNanos()
-        val res = serve(rows)
+        serve(rows)
         val t = busyNanos() - t0
-        System.arraycopy(res, 0, results, done, rows.length)
         busy += t
         perUser.add(t.toDouble / rows.length)
         done += rows.length
       }
-      new BlockTiming(name, fixed, busy, done, results, serve)
+      new BlockTiming(name, fixed, busy, done, serve)
     }
     val mm = time("MM", candidates.head._2, None)
     mm +: candidates.tail.map { case (name, prep) =>
@@ -207,8 +197,8 @@ object RecOpt {
   /** Decide from the blocks' `(name, fixed nanos, busy nanos, users)` costs
     * ([[TimedBlock.costs]]), summed per candidate: estimate each of `builds`
     * (name, build nanos) as build + fixed + busy per user x `totalUsers` and
-    * pick the minimum. The sample size is what MM timed; the waste is the
-    * losers' builds and busy time. */
+    * pick the minimum. The sample size is what MM timed; the waste is every
+    * candidate's busy time and the losers' builds. */
   def report(builds: Seq[(String, Long)], costs: Seq[(String, Long, Long, Int)],
              totalUsers: Long, startNanos: Long): RecOptReport = {
     val summed = costs.groupMapReduce(_._1)(c => (c._2, c._3, c._4.toLong)) {
@@ -220,8 +210,7 @@ object RecOpt {
       StrategyEstimate(name, itemBuild + fixed, perUser, users, itemBuild + fixed + perUser * totalUsers)
     }
     val chosen = decide(estimates).name
-    val wasted = estimates.filter(_.name != chosen)
-      .map(e => e.buildNanos + (e.perUserNanos * e.usersTimed).toLong).sum
+    val wasted = summed.values.map(_._2).sum + estimates.filter(_.name != chosen).map(_.buildNanos).sum
     RecOptReport(chosen, estimates, summed("MM")._3, totalUsers, wasted,
       System.nanoTime() - startNanos)
   }

@@ -103,15 +103,15 @@ object SparkMips {
     * one (one partition samples what local `serveAll` samples), binds every
     * candidate to the whole block (RECDEX builds its user index over it, a
     * per-block cost added to its build) and times it in chunks on the
-    * sample. Each timed block is kept in memory with every candidate's
-    * sampled results and binding. The pass returns each block's row count
+    * sample, whose results it drops. Each timed block is kept in memory with
+    * every candidate's binding. The pass returns each block's row count
     * with its costs; the driver sums the counts to |U| (no job counts the
     * users first), extrapolates and decides. Serve phase, lazy: the returned
     * DataFrame maps over the same blocks and encodes each block's
     * [[repro.recopt.TimedBlock.serve]] with the winner, which drops the
-    * other candidates' bindings and reuses the winner's sampled results and
-    * binding, so RECDEX never clusters a block twice. The report's
-    * `totalNanos` covers the decision phase.
+    * other candidates' bindings and serves every row of the block, the
+    * sampled ones again, with the winner's binding, so RECDEX never clusters
+    * a block twice. The report's `totalNanos` covers the decision phase.
     *
     * The kept blocks and the candidates' broadcast live as long as the
     * returned DataFrame and are released by Spark's `ContextCleaner`. A

@@ -64,9 +64,9 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(idx.length == 10)
   }
 
-  test("sampleIndices is sampleRows of sampleSize rows with the config's seed") {
-    val cfg = RecOptConfig(sampleFraction = 0.1, seed = 5)
-    assert(RecOpt.sampleIndices(700, 8, cfg).toSeq == RecOpt.sampleRows(700, 70, 5).toSeq)
+  test("sampleIndices is sampleRows of sampleSize rows with the sample seed") {
+    val cfg = RecOptConfig(sampleFraction = 0.1)
+    assert(RecOpt.sampleIndices(700, 8, cfg).toSeq == RecOpt.sampleRows(700, 70, RecOpt.SampleSeed).toSeq)
     val rows = RecOpt.sampleRows(700, 70, 5)
     assert(rows.toSeq == rows.toSeq.sorted && rows.distinct.length == 70)
     assert(RecOpt.sampleRows(700, 70, 6).toSeq != rows.toSeq)
@@ -74,10 +74,11 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
   }
 
   test("sampleIndices deterministic in the seed") {
-    val cfg = RecOptConfig(seed = 42)
+    val cfg = RecOptConfig(sampleFraction = 0.05)
     val a = RecOpt.sampleIndices(1000, 16, cfg)
     val b = RecOpt.sampleIndices(1000, 16, cfg)
     assert(a.toSeq == b.toSeq)
+    assert(RecOpt.sampleRows(1000, 50, 42).toSeq == RecOpt.sampleRows(1000, 50, 42).toSeq)
   }
 
   // ---- the per-block function ----
@@ -91,17 +92,17 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val items = Matrix.randn(30, 8, seed = 5)
     val block = RecOpt.onBlock(new Matrix(0, 8, Array.empty[Double]), 2, 3, RecOptConfig(),
       candidates(items))
-    assert(block.rows == 0 && block.sampled.isEmpty && block.costs.isEmpty)
+    assert(block.rows == 0 && block.costs.isEmpty)
     assert(block.serve("MM").isEmpty)
   }
 
   for (chosen <- Seq("MM", "LEMP", "RECDEX"))
     test(s"onBlock: serving a block twice with $chosen returns the same ids and score bits") {
       val (users, items) = ModelZoo.tiny(200, 90, 8, seed = 167, concentrated = true)
-      // a fifth of the rows sampled, so the binding serves the rest
+      // a fifth of the rows timed; the winner's binding serves them all
       val block = RecOpt.onBlock(users, 0, 4, RecOptConfig(sampleFraction = 0.2),
         candidates(items))
-      assert(block.sampled.length == 40 && block.costs.map(_._1) == Seq("MM", "LEMP", "RECDEX"))
+      assert(block.costs.head._4 == 40 && block.costs.map(_._1) == Seq("MM", "LEMP", "RECDEX"))
       val first = block.serve(chosen)
       assert(block.costs.map(_._1) == Seq(chosen), "the other candidates' bindings are kept")
       SolverTestSupport.assertIdentical(first, SolverTestSupport.bruteForce(users, items, 4), chosen)
@@ -110,14 +111,21 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
 
   test("onBlock: part 0 samples sampleIndices' rows, and part p as many seeded with seed + p") {
     val (users, items) = ModelZoo.tiny(300, 40, 8, seed = 173)
-    val mm = Seq("MM" -> new BruteForceMM().prepare(items))
-    for (fraction <- Seq(0.0, 0.05, 0.3, 1.0); seed <- Seq(3L, 17L)) {
-      val cfg = RecOptConfig(sampleFraction = fraction, seed = seed)
-      assert(RecOpt.onBlock(users, 0, 2, cfg, mm).sampled.toSeq ==
-        RecOpt.sampleIndices(300, 8, cfg).toSeq, s"fraction $fraction, seed $seed")
-      val part2 = RecOpt.onBlock(users, 2, 2, cfg, mm).sampled
-      assert(part2.length == math.max(1, math.ceil(300 * fraction).toInt))
-      assert(part2.toSeq == RecOpt.sampleRows(300, part2.length, seed + 2).toSeq)
+    /** The rows MM is timed on, all of the block's sample, in order. */
+    def sampled(part: Int, cfg: RecOptConfig): Seq[Int] = {
+      val mm = new SlowBound(items, 0L)
+      RecOpt.onBlock(users, part, 2, cfg, Seq("MM" -> mm))
+      mm.calls.flatten
+    }
+    for (fraction <- Seq(0.0, 0.05, 0.3, 1.0)) {
+      val cfg = RecOptConfig(sampleFraction = fraction)
+      assert(sampled(0, cfg) == RecOpt.sampleIndices(300, 8, cfg).toSeq, s"fraction $fraction")
+      for (part <- Seq(2, 5)) {
+        val rows = sampled(part, cfg)
+        assert(rows.length == math.max(1, math.ceil(300 * fraction).toInt))
+        assert(rows == RecOpt.sampleRows(300, rows.length, RecOpt.SampleSeed + part).toSeq,
+          s"fraction $fraction, part $part")
+      }
     }
   }
 
@@ -144,7 +152,9 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val (got, report) = RecOpt.serveAll(users, items, 3, Seq.empty, RecOptConfig(sampleFraction = 0.05))
     SolverTestSupport.assertSame(got, expect, 1e-9)
     assert(report.chosen == "MM")
-    assert(report.wastedNanos == 0L)
+    // MM serves its sampled users again, so their time is wasted
+    val Seq(mm) = report.estimates
+    assert(report.wastedNanos == math.round(mm.perUserNanos * mm.usersTimed))
   }
 
   /** A LEMP index that counts its builds. */
@@ -222,7 +232,7 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val Seq(mm, idx) = report.estimates
     assert(mm.usersTimed == 3000000000L && mm.perUserNanos == 2.0 && mm.estTotalNanos == 6e9)
     assert(idx.usersTimed == 20 && idx.buildNanos == 110 && idx.estTotalNanos == 110 + 100.0 * 3e9)
-    assert(report.chosen == "MM" && report.wastedNanos == 110 + 2000)
+    assert(report.chosen == "MM" && report.wastedNanos == 6000000000L + 2000 + 110)
   }
 
   test("t-test stops early on a clearly slower point-query index") {
@@ -267,10 +277,18 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     val report = RecOpt.report(Seq("MM" -> 0L, "SLOW" -> 0L), Seq(mm.cost, rd.cost), 400,
       System.nanoTime())
     assert(report.chosen == "MM")
-    // the results it was timed on are kept, the rest are left to the winner
-    val expect = SolverTestSupport.bruteForce(users, items, 3)
-    SolverTestSupport.assertSame(rd.results.take(rd.users), sampleIdx.take(rd.users).map(expect), 1e-9)
-    assert(rd.results.drop(rd.users).forall(_ == null))
+  }
+
+  test("a winner the t-test stopped early still serves every row") {
+    val (users, items) = ModelZoo.tiny(400, 50, 8, seed = 181)
+    // MM spins 1 ms per user, so the t-test soon separates brute force from it
+    val block = RecOpt.onBlock(users, 0, 3, RecOptConfig(sampleFraction = 0.25),
+      Seq("MM" -> new SlowBound(items, 1000000L), "FAST" -> new BruteForceMM().prepare(items)))
+    val Seq(mm, fast) = block.costs
+    assert(mm._4 == 100 && fast._4 < 100, s"t-test did not stop FAST: timed ${fast._4}")
+    val report = RecOpt.report(Seq("MM" -> 0L, "FAST" -> 0L), block.costs, 400, System.nanoTime())
+    assert(report.chosen == "FAST")
+    SolverTestSupport.assertIdentical(block.serve("FAST"), SolverTestSupport.bruteForce(users, items, 3), "FAST")
   }
 
   test("timeBlock counts a candidate's CPU time, not the time its thread waits") {
@@ -305,16 +323,9 @@ class RecOptSpec extends AnyFunSuite with PropSupport {
     assert(report.estimates.find(_.name == "RECDEX").get.buildNanos == 7L + rd.fixedNanos)
     // one user index, over all 400 users, serves the sample and the rest
     assert(recdex.builtOver == Seq(400))
-    val expect = SolverTestSupport.bruteForce(users, items, 3)
-    val rest = (0 until 400).filterNot(sampleIdx.contains).toArray
-    SolverTestSupport.assertSame(rd.serve(rest), rest.map(expect), 1e-9, "rest")
+    SolverTestSupport.assertSame(rd.serve(Array.range(0, 400)),
+      SolverTestSupport.bruteForce(users, items, 3), 1e-9, "every row")
     assert(recdex.builtOver == Seq(400))
-    // the sample results must be exact and row-aligned with sampleIdx
-    val res = rd.results
-    sampleIdx.indices.foreach { i =>
-      SolverTestSupport.assertSame(Array(res(i)), Array(expect(sampleIdx(i))), 1e-9,
-        s"sample row $i")
-    }
   }
 
   /** Records the row count of every block it is bound to (for RECDEX, every
